@@ -101,13 +101,25 @@ def split_kernel(problem: CycleProblem, mu: StationaryPolicy) -> SplitKernel:
     return SplitKernel(left=left, right=right)
 
 
+def _first_return(problem: CycleProblem, mu: StationaryPolicy):
+    """One LU solve of (I - R) X = [P[:, pi], g], where R is P_mu with the
+    cycle-set columns zeroed.  Returns (P, R, g, pi, X): X[:, :-1] is the
+    first-return kernel on its cycle-set columns pi, X[:, -1] the cycle
+    cost."""
+    _require_proper(problem, mu)
+    P, g = problem.mdp.policy_matrices(mu)
+    pi = np.flatnonzero(problem.pi_mask())
+    R = P.copy()
+    R[:, pi] = 0.0
+    X = numerics.transient_inverse(R, np.column_stack([P[:, pi], g]))
+    return P, R, g, pi, X
+
+
 def first_return_kernel(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarray:
     """First-entry distribution over the cycle set: (I - right)^{-1} left."""
-    _require_proper(problem, mu)
-    kern = split_kernel(problem, mu)
-    n = problem.mdp.n_states
-    inv = numerics.transient_inverse(kern.right)
-    tilde = inv @ kern.left
+    _, _, _, pi, X = _first_return(problem, mu)
+    tilde = np.zeros((problem.mdp.n_states, problem.mdp.n_states))
+    tilde[:, pi] = X[:, :-1]
     if np.max(np.abs(tilde.sum(axis=1) - 1.0)) > EVAL_TOL:
         raise NumericalFailure("first-return kernel rows do not sum to 1")
     return tilde
@@ -115,19 +127,53 @@ def first_return_kernel(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarr
 
 def cycle_cost(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarray:
     """Expected cost to the next entry into the cycle set from each state."""
-    _require_proper(problem, mu)
-    kern = split_kernel(problem, mu)
-    _, g = problem.mdp.policy_matrices(mu)
-    return numerics.transient_inverse(kern.right) @ g
+    *_, X = _first_return(problem, mu)
+    return X[:, -1]
 
 
 def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
                   tol: float = EVAL_TOL) -> AcpcGainBias:
-    """Gain-bias of a proper policy, computed two independent ways.
+    """Gain-bias of a proper policy through the first-return chain.
 
-    (a) map the policy to the per-stage problem over the first-return
-    chain and evaluate there; (b) solve the 3n-equation linear system in
-    (J, h, v) directly.  The gains must agree within tol.
+    The per-stage problem is solved on the first-return chain restricted
+    to the cycle set, P~_pp with costs g~_p: J_p = P~*_pp g~_p, and h_p,
+    v_p = -H~ h_p from two solves with I - P~_pp + P~*_pp.  Every other
+    state's values follow from its first entry into the cycle set:
+    J = P~ J_p, h = g~ - J + P~ h_p, v = -h + P~ v_p.  The result must
+    satisfy the three per-cycle defining equations against P_mu within
+    tol * max(1, |J|_inf); NumericalFailure otherwise.
+    """
+    P, R, g, pi, X = _first_return(problem, mu)
+    tilde_P, tilde_g = X[:, :-1], X[:, -1]
+    P_pp = tilde_P[pi]
+    star = numerics.cesaro_limit(P_pp)
+    fundamental = np.eye(len(pi)) - P_pp + star
+    J_p = star @ tilde_g[pi]
+    h_p = numerics.solve_linear(fundamental, tilde_g[pi] - J_p, tol=tol).x
+    v_p = numerics.solve_linear(fundamental, -h_p, tol=tol).x
+    J = tilde_P @ J_p
+    h = tilde_g - J + tilde_P @ h_p
+    v = -h + tilde_P @ v_p
+
+    residual = max(float(np.max(np.abs(P @ J - J))),
+                   float(np.max(np.abs(J + h - g - R @ J - P @ h))),
+                   float(np.max(np.abs(h + v - R @ h - P @ v))))
+    if residual > _gain_scaled(tol, J):
+        raise NumericalFailure(
+            f"per-cycle defining equations fail with residual {residual:.3e}")
+    return AcpcGainBias(J=J, h=h, v=v)
+
+
+def acpc_evaluate_direct(problem: CycleProblem, mu: StationaryPolicy,
+                         tol: float = EVAL_TOL) -> AcpcGainBias:
+    """Reference gain-bias of a proper policy, computed two independent
+    ways: (a) map the policy to the per-stage problem over the full
+    first-return chain and evaluate there; (b) solve the 3n-equation
+    linear system in (J, h, v) directly, taking its minimum-norm
+    solution.  The gains must agree within tol * max(1, |J|_inf).
+
+    An oracle for acpc_evaluate; the dense 3n x 3n least-squares solve
+    makes it far too slow for the policy-iteration loop.
     """
     _require_proper(problem, mu)
     kern = split_kernel(problem, mu)
@@ -154,11 +200,17 @@ def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
     h = sol.x[n:2 * n]
     v = sol.x[2 * n:]
 
-    if np.max(np.abs(J - mapped.J)) > tol:
+    if np.max(np.abs(J - mapped.J)) > _gain_scaled(tol, J):
         raise NumericalFailure(
             "gain mismatch between the mapped per-stage evaluation and the "
             f"direct linear system: {np.max(np.abs(J - mapped.J)):.3e}")
     return AcpcGainBias(J=J, h=h, v=v)
+
+
+def _gain_scaled(tol: float, J) -> float:
+    """Absolute tolerance for values in units of the gain: rounding grows
+    with the size of the per-cycle cost."""
+    return tol * max(1.0, float(np.max(np.abs(J))))
 
 
 def acpc_optimality_check(problem: CycleProblem, lam: float, h,

@@ -2,7 +2,8 @@
 policy and the single-chain Bellman optimality check.
 
 This module doubles as an independent oracle for the cycle-to-stage
-reduction: the per-cycle solver maps its first-return chain here.
+reduction: the per-cycle oracle ``acpc.acpc_evaluate_direct`` maps its
+first-return chain here.
 """
 
 from __future__ import annotations

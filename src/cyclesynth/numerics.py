@@ -188,19 +188,21 @@ def deviation_matrix(P, P_star=None) -> np.ndarray:
     return inv - P_star
 
 
-def transient_inverse(Q) -> np.ndarray:
-    """(I - Q)^{-1} for a substochastic transient matrix Q.
+def transient_inverse(Q, rhs=None) -> np.ndarray:
+    """(I - Q)^{-1} rhs for a substochastic transient matrix Q, by one LU
+    solve; rhs defaults to the identity, giving the inverse itself.
 
-    The Neumann series guarantees a nonnegative inverse; significantly
-    negative entries or singularity indicate the caller's transience
-    assumption is broken.
+    The Neumann series guarantees a nonnegative result for a nonnegative
+    rhs; significantly negative entries or singularity indicate the
+    caller's transience assumption is broken.
     """
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
+    rhs = np.eye(n) if rhs is None else np.asarray(rhs, dtype=float)
     try:
-        inv = np.linalg.solve(np.eye(n) - Q, np.eye(n))
+        x = np.linalg.solve(np.eye(n) - Q, rhs)
     except np.linalg.LinAlgError as exc:
         raise NotTransient(f"I - Q is singular: {exc}") from exc
-    if np.min(inv, initial=0.0) < -1e-10:
-        raise NotTransient("inverse has negative entries; Q is not transient")
-    return inv
+    if np.min(rhs, initial=0.0) >= 0.0 and np.min(x, initial=0.0) < -1e-10:
+        raise NotTransient("solution has negative entries; Q is not transient")
+    return x

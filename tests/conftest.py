@@ -160,6 +160,27 @@ def pickup_delivery_mdp() -> LabeledMdp:
                     labels={0: ["pickup"], 5: ["dropoff"]}, init=0)
 
 
+def ring_mdp(n: int) -> LabeledMdp:
+    """The ring family that generalizes the pickup-delivery fixture:
+    alpha advances (cost 5) and is deterministic at the pickup state 0,
+    beta at i%3==1 jumps two (cost 10), gamma at i%3==2 crawls cheaply
+    (cost 1).  Pickup at state 0, dropoff at state n//2."""
+    rows = {}
+    costs = {}
+    for i in range(n):
+        nxt = (i + 1) % n
+        rows[(i, "alpha")] = [(nxt, 1.0)] if i == 0 else [(nxt, 0.9), (i, 0.1)]
+        costs[(i, "alpha")] = 5.0
+        if i % 3 == 1:
+            rows[(i, "beta")] = [((i + 2) % n, 0.8), (nxt, 0.2)]
+            costs[(i, "beta")] = 10.0
+        if i % 3 == 2:
+            rows[(i, "gamma")] = [(i, 0.6), (nxt, 0.4)]
+            costs[(i, "gamma")] = 1.0
+    return make_mdp(n, ["alpha", "beta", "gamma"], rows, costs,
+                    labels={0: ["pickup"], n // 2: ["dropoff"]}, init=0)
+
+
 def two_amec_mdp() -> LabeledMdp:
     """Initial branch into one of two disjoint cycles with different
     per-cycle costs (3 for the left cycle, 2 for the right)."""

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from conftest import all_policies, random_cycle_problem, single_policy
-from cyclesynth import acpc
+from conftest import (
+    all_policies,
+    make_mdp,
+    pickup_delivery_dra,
+    pickup_delivery_mdp,
+    random_cycle_problem,
+    ring_mdp,
+    single_policy,
+)
+from cyclesynth import acpc, amec, numerics, product, synth
 from cyclesynth.acpc import CycleProblem, PolicyIterationStatus
-from cyclesynth.errors import ImproperPolicy, NotCommunicating, TooLarge
+from cyclesynth.errors import ImproperPolicy, NotCommunicating, NumericalFailure, TooLarge
 from cyclesynth.mdp import StationaryPolicy, is_proper
 
 
@@ -92,25 +100,65 @@ class TestEvaluate:
         np.testing.assert_allclose(gb.J, [1.5, 1.5], atol=1e-10)
 
     def test_defining_equations_random(self):
-        checked = 0
-        for seed in range(60):
-            prob, _k = random_cycle_problem(seed)
-            mdp = prob.mdp
-            for mu in all_policies(mdp):
-                if not is_proper(mdp, mu, prob.pi_states):
-                    continue
-                gb = acpc.acpc_evaluate(prob, mu)
-                P, g = mdp.policy_matrices(mu)
-                kern = acpc.split_kernel(prob, mu)
-                np.testing.assert_allclose(P @ gb.J, gb.J, atol=1e-7)
-                np.testing.assert_allclose(
-                    gb.J + gb.h, g + kern.right @ gb.J + P @ gb.h, atol=1e-7)
-                np.testing.assert_allclose(
-                    gb.h + gb.v, kern.right @ gb.h + P @ gb.v, atol=1e-7)
-                checked += 1
+        for evaluate in (acpc.acpc_evaluate, acpc.acpc_evaluate_direct):
+            checked = 0
+            for seed in range(60):
+                prob, _k = random_cycle_problem(seed)
+                mdp = prob.mdp
+                proper = [mu for mu in all_policies(mdp)
+                          if is_proper(mdp, mu, prob.pi_states)]
+                for mu in proper[:80 - checked]:
+                    gb = evaluate(prob, mu)
+                    P, g = mdp.policy_matrices(mu)
+                    kern = acpc.split_kernel(prob, mu)
+                    np.testing.assert_allclose(P @ gb.J, gb.J, atol=1e-7)
+                    np.testing.assert_allclose(
+                        gb.J + gb.h, g + kern.right @ gb.J + P @ gb.h, atol=1e-7)
+                    np.testing.assert_allclose(
+                        gb.h + gb.v, kern.right @ gb.h + P @ gb.v, atol=1e-7)
+                    checked += 1
                 if checked >= 80:
-                    return
-        assert checked > 0
+                    break
+            assert checked == 80, evaluate.__name__
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_rare_entry_large_gain(self, eps):
+        """Entering the cycle set takes 1/eps steps on average, so the gain
+        is 2 + 1/eps; the evaluation tolerance scales with it."""
+        rare = make_mdp(
+            3, ["a"],
+            rows={(0, "a"): [(1, 1.0)], (1, "a"): [(2, eps), (1, 1.0 - eps)],
+                  (2, "a"): [(0, 1.0)]},
+            costs={(0, "a"): 1.0, (1, "a"): 1.0, (2, "a"): 1.0},
+            labels={0: ["pi"]},
+        )
+        lam = 2.0 + 1.0 / eps
+        for evaluate in (acpc.acpc_evaluate, acpc.acpc_evaluate_direct):
+            gb = evaluate(problem(rare), single_policy(rare))
+            assert gb.lam == pytest.approx(lam, rel=1e-8), evaluate.__name__
+
+    @pytest.mark.parametrize("part", ["cost", "kernel"])
+    def test_residual_guard(self, monkeypatch, part):
+        """A first-return solve that is off by 1e-6 still gives a stochastic
+        chain on the cycle set; only the defining-equation residual shows
+        the error."""
+        mdp = pickup_delivery_mdp()
+        prob = CycleProblem(mdp=mdp, pi_states=frozenset({0, 5}))
+        mu = single_policy(mdp)
+        acpc.acpc_evaluate(prob, mu)
+        exact = numerics.transient_inverse
+
+        def perturbed(Q, rhs=None):
+            X = exact(Q, rhs)
+            if part == "cost":
+                X[:, -1] += 1e-6
+            else:  # move 1e-6 of the mass between the two cycle-set columns
+                X[:, :2] = (1.0 - 1e-6) * X[:, :2] + 1e-6 * X[:, 1::-1]
+            return X
+
+        monkeypatch.setattr(numerics, "transient_inverse", perturbed)
+        with pytest.raises(NumericalFailure, match="defining equations"):
+            acpc.acpc_evaluate(prob, mu)
 
 
 class TestOptimalityCheck:
@@ -131,7 +179,6 @@ class TestPolicyIteration:
         assert result.gain_bias.lam == pytest.approx(2.0, abs=1e-10)
 
     def test_requires_communicating(self):
-        from conftest import make_mdp
         islands = make_mdp(
             2, ["a"],
             rows={(0, "a"): [(0, 1.0)], (1, "a"): [(1, 1.0)]},
@@ -188,6 +235,26 @@ class TestPolicyIteration:
             gb = acpc.acpc_evaluate(prob, result.policy)
             assert gb.lam == pytest.approx(result.gain_bias.lam, abs=1e-9)
 
+    def test_hot_loop_solves_stay_on_cycle_set(self, monkeypatch):
+        """Policy iteration on a ring component of about 100 states solves
+        only systems of the cycle set's size, never one over all states."""
+        prod = product.build_product(ring_mdp(100), pickup_delivery_dra(), "pickup")
+        component = max(amec.accepting_amecs(prod), key=lambda c: len(c.states))
+        prob, k_local, _, _ = synth.amec_cycle_problem(prod, component)
+        assert prob.mdp.n_states >= 100
+        shapes = []
+        exact = numerics.solve_linear
+
+        def recording(A, b, tol=numerics.DEFAULT_TOL):
+            shapes.append(np.shape(A))
+            return exact(A, b, tol=tol)
+
+        monkeypatch.setattr(numerics, "solve_linear", recording)
+        result = acpc.policy_iteration(prob, k_local)
+        assert result.status is PolicyIterationStatus.OPTIMAL
+        assert shapes
+        assert max(max(s) for s in shapes) <= len(prob.pi_states) + 1
+
 
 class TestBruteForce:
     def test_toy_b(self, toy_b):
@@ -203,7 +270,6 @@ class TestBruteForce:
         assert lam == pytest.approx(2.0)
 
     def test_too_large(self):
-        from conftest import make_mdp
         n = 21
         rows = {}
         costs = {}

@@ -215,3 +215,7 @@ class TestTransientInverse:
             inv = numerics.transient_inverse(Q)
             assert np.min(inv) >= -1e-12
             np.testing.assert_allclose((np.eye(n) - Q) @ inv, np.eye(n), atol=1e-9)
+            rhs = rng.random((n, 3))
+            x = numerics.transient_inverse(Q, rhs)
+            assert np.min(x) >= 0.0
+            np.testing.assert_allclose(x, inv @ rhs, atol=1e-9)

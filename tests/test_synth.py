@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -122,3 +126,23 @@ class TestSynthesize:
         assert d["amecs"] == 1
         assert d["amecSizes"] == [12]
         assert d["skipped"] == []
+
+
+def test_synthesize_does_not_import_scipy(tmp_path):
+    """The solver stays numpy-only: importing scipy would add tens of MB
+    to the peak resident memory of every run."""
+    root = Path(__file__).resolve().parent.parent
+    fixtures = root / "tests" / "fixtures"
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(root / 'src')!r})\n"
+        "from cyclesynth import dra, mdp, synthesize\n"
+        f"result = synthesize(mdp.load({str(fixtures / 'pickup_delivery_mdp.json')!r}),\n"
+        f"                    dra.load({str(fixtures / 'pickup_delivery_dra.json')!r}), 'pickup')\n"
+        "assert result.optimal\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
