@@ -217,18 +217,20 @@ def acpc_optimality_check(problem: CycleProblem, lam: float, h,
                           tol: float = EVAL_TOL) -> bool:
     """Per-cycle Bellman condition: for every state,
     lam + h(i) = min_u [g(i,u) + sum_j P(i,u,j) h(j)
-                        + lam * sum_{j not in cycle set} P(i,u,j)].
+                        + lam * sum_{j not in cycle set} P(i,u,j)],
+    within tol * max(1, |lam|).
     """
     mdp = problem.mdp
     h = np.asarray(h, dtype=float)
     out_mask = ~problem.pi_mask()
+    scaled_tol = _gain_scaled(tol, lam)
     for i in mdp.states:
         best = math.inf
         for a in mdp.available[i]:
             row = mdp.trans[(i, a)]
             val = mdp.cost[(i, a)] + float(row @ h) + lam * float(row[out_mask].sum())
             best = min(best, val)
-        if abs(lam + h[i] - best) > tol:
+        if abs(lam + h[i] - best) > scaled_tol:
             return False
     return True
 
@@ -255,19 +257,20 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
 
     if init is not None:
         choice = _as_choice(mdp, init)
-        proper_ok, _, _ = _policy_conditions(problem, choice, k_states)
+        classes = _chain_classes(mdp, choice)
+        proper_ok, _, _ = _policy_conditions(problem, classes, k_states)
         if not proper_ok:
             raise ImproperPolicy("the supplied initial policy is improper")
     else:
-        choice = _initial_policy(problem, k_states)
+        choice, classes = _initial_policy(problem, k_states)
 
     pi_mask = problem.pi_mask()
     cap = max(10 * mdp.n_states, 20)
     for iteration in range(cap):
         mu = StationaryPolicy(dict(enumerate(choice)))
         gb = acpc_evaluate(problem, mu, tol=tol)
-        _, k_every, _ = _policy_conditions(problem, choice, k_states)
-        if (gb.gain_spread() <= tol and k_every
+        _, k_every, _ = _policy_conditions(problem, classes, k_states)
+        if (gb.gain_spread() <= _gain_scaled(tol, gb.J) and k_every
                 and acpc_optimality_check(problem, gb.lam, gb.h, tol=tol)):
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.OPTIMAL, iteration)
 
@@ -284,11 +287,11 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
 
         nxt = tuple(choice[i] if choice[i] in candidates[i] else min(candidates[i])
                     for i in mdp.states)
-        nxt = _constrained_select(problem, nxt, candidates, k_states)
-        if nxt is None or nxt == choice:
+        selected = _constrained_select(problem, nxt, candidates, k_states)
+        if selected is None or selected[0] == choice:
             mu = StationaryPolicy(dict(enumerate(choice)))
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.NOT_OPTIMAL, iteration)
-        choice = nxt
+        choice, classes = selected
     raise NonConvergence(f"policy iteration exceeded {cap} iterations")
 
 
@@ -317,14 +320,14 @@ def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
     return classes
 
 
-def _policy_conditions(problem: CycleProblem, choice, k_states):
-    """(proper, K in every recurrent class, K in some recurrent class).
+def _policy_conditions(problem: CycleProblem, classes, k_states):
+    """(proper, K in every recurrent class, K in some recurrent class)
+    of a policy with the given recurrent classes.
 
     Properness is equivalent to every recurrent class meeting the cycle
     set: closed classes avoiding it can never reach it, and transient
     states always reach some closed class.
     """
-    classes = _chain_classes(problem.mdp, choice)
     proper = all(problem.pi_states & set(c) for c in classes)
     k_every = all(k_states & set(c) for c in classes)
     k_some = any(k_states & set(c) for c in classes)
@@ -335,18 +338,16 @@ def _constrained_select(problem: CycleProblem, candidate, candidate_sets, k_stat
     """Keep the greedy candidate if it is proper with a K state in its
     recurrent classes; otherwise run one repair pass that reroutes states
     in offending recurrent classes along candidate actions leaving the
-    class.  Returns None when the repair fails."""
+    class.  Returns (choice, its recurrent classes), or None when the
+    repair fails."""
     mdp = problem.mdp
     choice = list(candidate)
+    classes = _chain_classes(mdp, choice)
     for _ in range(mdp.n_states + 1):
-        proper, k_every, k_some = _policy_conditions(problem, choice, k_states)
-        if proper and k_every:
-            return tuple(choice)
-        classes = _chain_classes(mdp, choice)
         offending = [set(c) for c in classes
                      if not (problem.pi_states & set(c)) or not (k_states & set(c))]
         if not offending:
-            return tuple(choice)
+            return tuple(choice), classes
         changed = False
         for cls in offending:
             for i in sorted(cls):
@@ -362,14 +363,16 @@ def _constrained_select(problem: CycleProblem, candidate, candidate_sets, k_stat
                 break
         if not changed:
             break
-    proper, k_every, k_some = _policy_conditions(problem, choice, k_states)
+        classes = _chain_classes(mdp, choice)
+    proper, _, k_some = _policy_conditions(problem, classes, k_states)
     if proper and k_some:
-        return tuple(choice)
+        return tuple(choice), classes
     return None
 
 
-def _initial_policy(problem: CycleProblem, k_states) -> tuple[int, ...]:
-    """Proper initial policy with K states in its recurrent classes.
+def _initial_policy(problem: CycleProblem, k_states):
+    """Proper initial policy with K states in its recurrent classes, and
+    those classes.
 
     Built from a backward reachability tree toward a K state (each state
     takes an action that strictly decreases tree depth, giving a single
@@ -388,7 +391,7 @@ def _initial_policy(problem: CycleProblem, k_states) -> tuple[int, ...]:
     repaired = _constrained_select(problem, choice, full_sets, k_states)
     if repaired is not None:
         return repaired
-    return choice
+    return choice, _chain_classes(mdp, choice)
 
 
 def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
@@ -438,7 +441,7 @@ def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPol
     repaired = _constrained_select(problem, choice, full_sets, frozenset(k_states))
     if repaired is None:
         return None
-    return StationaryPolicy(dict(enumerate(repaired)))
+    return StationaryPolicy(dict(enumerate(repaired[0])))
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,6 @@ class Amec:
     pair_index: int
 
 
-def _action_table(product: ProductMdp):
-    """(state, action) -> positive-probability successor set."""
-    table = {}
-    for i in product.states:
-        for a in product.available(i):
-            table[(i, a)] = {j for j, _p in product.transitions(i, a)}
-    return table
-
-
 def maximal_end_components(product: ProductMdp, restrict=None):
     """Iterative SCC refinement: drop actions leaving the candidate set,
     then states without actions, until a fixpoint; nontrivial bottom
@@ -42,7 +33,7 @@ def maximal_end_components(product: ProductMdp, restrict=None):
     restrict optionally limits the state set considered (used by the
     accepting filter to excise L states).
     """
-    table = _action_table(product)
+    succ = product.succ
     alive = set(product.states if restrict is None else restrict)
     actions = {i: [a for a in product.available(i)] for i in alive}
 
@@ -54,7 +45,7 @@ def maximal_end_components(product: ProductMdp, restrict=None):
         while changed:
             changed = False
             for i in list(states):
-                kept = [a for a in actions[i] if table[(i, a)] <= states]
+                kept = [a for a in actions[i] if states.issuperset(succ[(i, a)])]
                 if kept != actions[i]:
                     actions[i] = kept
                     changed = True
@@ -71,9 +62,9 @@ def maximal_end_components(product: ProductMdp, restrict=None):
             continue
         nodes = sorted(block)
         pos = {i: k for k, i in enumerate(nodes)}
-        succ = [sorted({pos[j] for a in actions[i] for j in table[(i, a)]})
-                for i in nodes]
-        comp = numerics._tarjan_scc(len(nodes), succ)
+        edges = [sorted({pos[j] for a in actions[i] for j in succ[(i, a)]})
+                 for i in nodes]
+        comp = numerics._tarjan_scc(len(nodes), edges)
         n_comp = max(comp) + 1 if nodes else 0
         if n_comp <= 1:
             if nodes:
@@ -125,7 +116,6 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    table = _action_table(product)
     u = set(product.states)
     while True:
         # states that can reach the target using actions confined to u
@@ -135,8 +125,8 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
             changed = False
             for i in u - v:
                 for a in product.available(i):
-                    succ = table[(i, a)]
-                    if succ <= u and succ & v:
+                    succ = product.succ[(i, a)]
+                    if u.issuperset(succ) and not v.isdisjoint(succ):
                         v.add(i)
                         changed = True
                         break
@@ -147,8 +137,8 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
 
 def retained_actions(product: ProductMdp, target, safe) -> dict[int, list[int]]:
     """Actions whose successors stay inside the almost-sure set."""
-    table = _action_table(product)
-    return {i: [a for a in product.available(i) if table[(i, a)] <= safe]
+    succ = product.succ
+    return {i: [a for a in product.available(i) if safe.issuperset(succ[(i, a)])]
             for i in safe if i not in target}
 
 
@@ -166,7 +156,6 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
             "the initial state cannot reach this accepting component with "
             "probability 1")
     retained = retained_actions(product, amec.states, safe)
-    table = _action_table(product)
     # BFS layers from the component through retained actions
     dist = {i: 0 for i in amec.states if i in safe}
     frontier = set(dist)
@@ -178,7 +167,7 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
             if i in dist or i in amec.states:
                 continue
             for a in retained[i]:
-                if table[(i, a)] & frontier:
+                if not frontier.isdisjoint(product.succ[(i, a)]):
                     dist[i] = d + 1
                     choice[i] = a
                     nxt.add(i)

@@ -18,7 +18,9 @@ from .mdp import LabeledMdp, StationaryPolicy
 class ProductMdp:
     """Synchronized MDP x DRA restricted to states reachable from the
     initial pair.  Product states are indexed densely; `pairs_of` maps an
-    index back to its (mdp state, dra state) pair."""
+    index back to its (mdp state, dra state) pair.  `succ[(i, a)]` holds
+    the positive-probability successors of (i, a), in the order of the
+    MDP row's successors; their probabilities stay in the MDP rows."""
 
     mdp: LabeledMdp
     dra: Dra
@@ -29,6 +31,7 @@ class ProductMdp:
     init: int
     lifted_pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]  # (L_P, K_P)
     pi_states: frozenset[int]
+    succ: dict[tuple[int, int], tuple[int, ...]]
 
     @property
     def states(self) -> range:
@@ -44,11 +47,8 @@ class ProductMdp:
 
     def transitions(self, i: int, a: int) -> list[tuple[int, float]]:
         """Positive-probability successors of (i, a) as (index, prob)."""
-        s, q = self.pairs_of[i]
-        q2 = self.dra.step(q, self.mdp.label[s])
-        row = self.mdp.trans[(s, a)]
-        return [(self.index_of[(int(j), q2)], float(row[j]))
-                for j in np.flatnonzero(row > 0.0)]
+        row = self.mdp.trans[(self.pairs_of[i][0], a)]
+        return [(j, float(row[self.pairs_of[j][0]])) for j in self.succ[(i, a)]]
 
     def as_mdp(self) -> LabeledMdp:
         """Explicit labeled MDP over the product state space (labels
@@ -99,20 +99,22 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
     start = (mdp.init, dra.start)
     index_of = {start: 0}
     pairs_of = [start]
+    succ = {}
     frontier = [start]
     while frontier:
         nxt = []
         for (s, q) in frontier:
             q2 = dra.step(q, mdp.label[s])
-            succ_states = set()
-            for a in mdp.available[s]:
-                succ_states.update(int(j) for j in mdp.successors(s, a))
-            for j in sorted(succ_states):
+            support = {a: mdp.successors(s, a).tolist() for a in mdp.available[s]}
+            for j in sorted(set().union(*support.values())):
                 key = (j, q2)
                 if key not in index_of:
                     index_of[key] = len(pairs_of)
                     pairs_of.append(key)
                     nxt.append(key)
+            i = index_of[(s, q)]
+            for a, states in support.items():
+                succ[(i, a)] = tuple(index_of[(j, q2)] for j in states)
         frontier = nxt
 
     lifted = []
@@ -131,6 +133,7 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         init=0,
         lifted_pairs=tuple(lifted),
         pi_states=pi_states,
+        succ=succ,
     )
 
 

@@ -113,12 +113,10 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     """
     sampler = {}
     for i in product.states:
-        s, q = product.pairs_of[i]
+        s = product.pairs_of[i][0]
         a = policy.action(i)
-        cum, support = _cum_row(product.mdp.trans[(s, a)])
-        q2 = product.dra.step(q, product.mdp.label[s])
-        succ = [product.index_of[(j, q2)] for j in support]
-        sampler[i] = (cum, succ, product.mdp.cost[(s, a)])
+        cum, _support = _cum_row(product.mdp.trans[(s, a)])
+        sampler[i] = (cum, product.succ[(i, a)], product.mdp.cost[(s, a)])
     amec_set = frozenset(amec_states) if amec_states is not None else None
     n_pairs = len(product.lifted_pairs)
     count_L = [0] * n_pairs
@@ -173,6 +171,7 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
     same sampling scheme as simulate_product, so costs agree exactly for
     the same seed."""
     pi_set = frozenset(pi_states)
+    sampler = {}
     controller.reset()
     rng = Random(seed)
     uniform = rng.random
@@ -182,7 +181,10 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
     for _ in range(n_stages):
         a = controller.act(s)
         total += mdp.cost[(s, a)]
-        cum, support = _cum_row(mdp.trans[(s, a)])
+        row = sampler.get((s, a))
+        if row is None:
+            row = sampler[(s, a)] = _cum_row(mdp.trans[(s, a)])
+        cum, support = row
         s = support[bisect_left(cum, uniform())]
         if s in pi_set:
             cycles += 1

@@ -13,7 +13,7 @@ import numpy as np
 from . import acpc, amec as amec_mod
 from .acpc import CycleProblem, PolicyIterationStatus
 from .dra import Dra
-from .errors import NoReachableAmec
+from .errors import NoReachableAmec, NotReachableAlmostSurely
 from .mdp import LabeledMdp, StationaryPolicy
 from .product import ExecutablePolicy, ProductMdp, build_product, project_policy
 
@@ -96,8 +96,9 @@ def _solve_component(product: ProductMdp, idx: int, component, retries: int, tol
     """Per-cycle solve inside one reachable component.  Returns
     (solution, reach policy, interior choices on product states) or a
     skip reason string."""
-    safe = amec_mod.almost_sure_reach_set(product, component.states)
-    if product.init not in safe:
+    try:
+        reach = amec_mod.reach_policy(product, component)
+    except NotReachableAlmostSurely:
         return "not reachable almost surely"
     if not component.pi_states:
         return "no cycle states inside"
@@ -122,7 +123,6 @@ def _solve_component(product: ProductMdp, idx: int, component, retries: int, tol
         interior_policy=result.policy,
         states=component.states,
     )
-    reach = amec_mod.reach_policy(product, component)
     interior = {g: result.policy.choice[local[g]] for g in ordered}
     return solution, reach, interior
 

@@ -255,6 +255,28 @@ class TestPolicyIteration:
         assert shapes
         assert max(max(s) for s in shapes) <= len(prob.pi_states) + 1
 
+    def test_recurrent_classes_once_per_chain(self, monkeypatch):
+        """Policy iteration finds the recurrent classes of each policy it
+        considers once, not again for every check on the same choice.
+        (The evaluation's Cesaro limit also calls recurrent_classes, on the
+        |pi| x |pi| first-return chain; those calls are not counted.)"""
+        prod = product.build_product(ring_mdp(100), pickup_delivery_dra(), "pickup")
+        component = max(amec.accepting_amecs(prod), key=lambda c: len(c.states))
+        prob, k_local, _, _ = synth.amec_cycle_problem(prod, component)
+        chains = []
+        exact = numerics.recurrent_classes
+
+        def recording(P):
+            if len(P) == prob.mdp.n_states:
+                chains.append(np.asarray(P).tobytes())
+            return exact(P)
+
+        monkeypatch.setattr(numerics, "recurrent_classes", recording)
+        result = acpc.policy_iteration(prob, k_local)
+        assert result.status is PolicyIterationStatus.OPTIMAL
+        assert chains
+        assert len(chains) == len(set(chains))
+
 
 class TestBruteForce:
     def test_toy_b(self, toy_b):

@@ -49,6 +49,19 @@ class TestBuildProduct:
         probs = {product.pairs_of[j][0]: p for j, p in product.transitions(i, 0)}
         assert probs == {2: pytest.approx(0.9), 1: pytest.approx(0.1)}
 
+    def test_successor_table_in_mdp_row_order(self):
+        """succ[(i, a)] lists the product successors in the order of the MDP
+        row's successors, which keeps product and MDP simulations on the
+        same draws."""
+        product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+        for i in product.states:
+            s, q = product.pairs_of[i]
+            q2 = product.dra.step(q, product.mdp.label[s])
+            for a in product.available(i):
+                expected = tuple(product.index_of[(int(j), q2)]
+                                 for j in product.mdp.successors(s, a))
+                assert product.succ[(i, a)] == expected
+
     def test_costs_inherited(self):
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")

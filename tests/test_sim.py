@@ -75,6 +75,21 @@ class TestSimulateProduct:
         assert report_p.total_cost == report_e.total_cost
         assert report_p.cycles == report_e.cycles
 
+    def test_executable_builds_each_sampler_once(self, monkeypatch):
+        mdp, _dra, result = self._solved()
+        rows = []
+        cum_row = sim._cum_row
+
+        def counting(row):
+            rows.append(row.tobytes())
+            return cum_row(row)
+
+        monkeypatch.setattr(sim, "_cum_row", counting)
+        sim.simulate_executable(mdp, result.executable(), 5_000, seed=5,
+                                pi_states=mdp.pi_states("pickup"))
+        assert rows
+        assert len(rows) == len(set(rows))
+
     def test_acceptance_evidence(self):
         _mdp, _dra, result = self._solved()
         report = sim.simulate_product(result.product, result.stitched_policy,

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,9 @@ from conftest import (
     pickup_delivery_mdp,
     two_amec_mdp,
 )
-from cyclesynth import acpc
+from cyclesynth import acpc, sim
 from cyclesynth.acpc import PolicyIterationStatus
+from cyclesynth.dra import Dra
 from cyclesynth.errors import NoReachableAmec
 from cyclesynth.synth import amec_cycle_problem, synthesize
 from cyclesynth import amec as amec_mod
@@ -117,6 +119,19 @@ class TestSynthesize:
         with pytest.raises(NoReachableAmec):
             synthesize(coin, always_accepting_dra(), "pi")
 
+    @pytest.mark.parametrize("scale", [1.0, 1e7])
+    def test_large_costs_certified_optimal(self, scale):
+        """The optimality certificate is relative to the gain: scaling every
+        cost scales lambda and must not turn an optimal answer into
+        notOptimal."""
+        mdp = pickup_delivery_mdp()
+        scaled = dataclasses.replace(
+            mdp, cost={key: c * scale for key, c in mdp.cost.items()})
+        base = synthesize(mdp, pickup_delivery_dra(), "pickup").optimal_cost
+        result = synthesize(scaled, pickup_delivery_dra(), "pickup")
+        assert result.optimal
+        assert result.optimal_cost == pytest.approx(scale * base, rel=1e-9)
+
     def test_diagnostics(self):
         result = synthesize(pickup_delivery_mdp(), pickup_delivery_dra(),
                             "pickup")
@@ -126,6 +141,37 @@ class TestSynthesize:
         assert d["amecs"] == 1
         assert d["amecSizes"] == [12]
         assert d["skipped"] == []
+
+
+class TestSuccessorTable:
+    def test_automaton_stepped_once_per_product_state(self, monkeypatch):
+        """build_product steps the automaton once per product state and
+        records the successors; synthesis and simulation read that record."""
+        callers = []
+        step = Dra.step
+
+        def counting(self, q, label):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return step(self, q, label)
+
+        monkeypatch.setattr(Dra, "step", counting)
+        result = synthesize(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+        sim.simulate_product(result.product, result.stitched_policy, 1000, seed=1)
+        assert callers == ["build_product"] * result.product.n_states
+
+    def test_almost_sure_set_once_per_component(self, monkeypatch):
+        calls = []
+        reach_set = amec_mod.almost_sure_reach_set
+
+        def counting(product, target):
+            calls.append(frozenset(target))
+            return reach_set(product, target)
+
+        monkeypatch.setattr(amec_mod, "almost_sure_reach_set", counting)
+        result = synthesize(two_amec_mdp(), always_accepting_dra(), "pi")
+        assert len(result.lambda_per_amec) == 2
+        assert sorted(calls, key=sorted) == sorted(
+            (sol.states for sol in result.lambda_per_amec), key=sorted)
 
 
 def test_synthesize_does_not_import_scipy(tmp_path):
