@@ -16,13 +16,11 @@ from .acpc import (
     split_kernel,
 )
 from .amec import Amec, accepting_amecs, almost_sure_reach_set, maximal_end_components, reach_policy
-from .dra import Dra, RabinPair, acceptance_counters
+from .dra import Dra, RabinPair
 from .mdp import (
-    ChainStructure,
     LabeledMdp,
     StationaryPolicy,
     ValidationReport,
-    induced_chain,
     is_communicating,
     is_proper,
     validate,
@@ -34,13 +32,13 @@ from .synth import SynthesisResult, synthesize
 __version__ = "0.1.0"
 
 __all__ = [
-    "AcpcGainBias", "Amec", "ChainStructure", "CycleProblem", "Dra",
+    "AcpcGainBias", "Amec", "CycleProblem", "Dra",
     "ExecutablePolicy", "LabeledMdp", "PolicyIterationResult",
     "PolicyIterationStatus", "ProductMdp", "RabinPair", "SimReport",
     "StationaryPolicy", "SynthesisResult", "ValidationReport",
-    "acceptance_counters", "accepting_amecs", "acpc_evaluate",
+    "accepting_amecs", "acpc_evaluate",
     "acpc_optimality_check", "almost_sure_reach_set", "brute_force_acpc",
-    "build_product", "cycle_cost", "first_return_kernel", "induced_chain",
+    "build_product", "cycle_cost", "first_return_kernel",
     "is_communicating", "is_proper", "maximal_end_components",
     "policy_iteration", "project_policy", "reach_policy", "simulate",
     "simulate_executable", "simulate_product", "split_kernel", "synthesize",

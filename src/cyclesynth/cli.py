@@ -52,8 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn.add_argument("--retries", type=int, default=0,
                        help="policy-iteration restarts with fresh random "
                             "initial policies when the first run is sub-optimal")
-    p_syn.add_argument("--jobs", type=int, default=1,
-                       help="worker threads for independent components (default 1)")
 
     p_sim = sub.add_parser("simulate", help="simulate a synthesized policy")
     p_sim.add_argument("--mdp", required=True)
@@ -77,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_synthesize(args) -> int:
     mdp = mdp_mod.load(args.mdp)
     dra = dra_mod.load(args.dra)
-    result = synthesize(mdp, dra, args.pi, retries=args.retries, jobs=args.jobs,
-                        tol=_tolerance())
+    result = synthesize(mdp, dra, args.pi, retries=args.retries, tol=_tolerance())
     print(f"product states: {result.diagnostics['productStates']} "
           f"(raw {result.diagnostics['rawProductStates']})")
     print(f"accepting components: {result.diagnostics['amecs']}")

@@ -1,6 +1,5 @@
-"""Deterministic Rabin automaton model, parsers for the JSON schema and
-the ltl2dstar v2 explicit text format, and finite-prefix acceptance
-bookkeeping.
+"""Deterministic Rabin automaton model and parsers for the JSON schema and
+the ltl2dstar v2 explicit text format.
 
 Symbols are canonicalized as frozensets of atomic propositions; the
 serialized key for a symbol is the comma-joined sorted subset (the empty
@@ -10,9 +9,9 @@ string for the empty set).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import InvalidRun, InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError
 
 _DRA_KEYS = {"states", "ap", "start", "pairs", "trans"}
 
@@ -23,6 +22,12 @@ def symbol_key(symbol) -> str:
 
 def parse_symbol_key(key: str) -> frozenset[str]:
     return frozenset(key.split(",")) if key else frozenset()
+
+
+def _symbols(ap) -> list[frozenset[str]]:
+    """Every subset of ap; bit b of the list index is the b-th proposition."""
+    return [frozenset(a for b, a in enumerate(ap) if (bits >> b) & 1)
+            for bits in range(2 ** len(ap))]
 
 
 @dataclass(frozen=True)
@@ -41,18 +46,17 @@ class Dra:
     start: int
     pairs: tuple[RabinPair, ...]
     delta: dict[tuple[int, frozenset[str]], int]
+    _ap_set: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _validate(self)
+        object.__setattr__(self, "_ap_set", frozenset(self.ap))
 
     def step(self, state: int, symbol) -> int:
-        return self.delta[(state, frozenset(symbol) & frozenset(self.ap))]
+        return self.delta[(state, frozenset(symbol) & self._ap_set)]
 
     def symbols(self) -> list[frozenset[str]]:
-        out = []
-        for bits in range(2 ** len(self.ap)):
-            out.append(frozenset(a for b, a in enumerate(self.ap) if (bits >> b) & 1))
-        return out
+        return _symbols(self.ap)
 
 
 def _validate(dra: Dra):
@@ -203,9 +207,7 @@ def parse_ltl2dstar(text: str) -> Dra:
     except ValueError as exc:
         raise ParseError(f"non-integer header field: {exc}", line=lineno) from exc
 
-    symbols = []
-    for bits in range(2 ** len(ap)):
-        symbols.append(frozenset(a for b, a in enumerate(ap) if (bits >> b) & 1))
+    symbols = _symbols(ap)
 
     delta: dict[tuple[int, frozenset[str]], int] = {}
     L = [set() for _ in range(n_pairs)]
@@ -266,42 +268,3 @@ def load(path) -> Dra:
     if text.lstrip().startswith("DRA"):
         return parse_ltl2dstar(text)
     return parse_json(text)
-
-
-# ---------------------------------------------------------------------------
-# finite-prefix acceptance bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairCounters:
-    count_L: int
-    count_K: int
-    last_L_index: int  # -1 when L never visited
-
-
-def acceptance_counters(dra: Dra, run) -> tuple[PairCounters, ...]:
-    """Per-pair visit counts over a finite run (state sequence).
-
-    The run must follow the transition function: consecutive states must
-    be connected by some input symbol.
-    """
-    run = list(run)
-    symbols = dra.symbols()
-    successors = [set() for _ in range(dra.n_states)]
-    for (q, _sym), q2 in dra.delta.items():
-        successors[q].add(q2)
-    for t in range(len(run) - 1):
-        if run[t + 1] not in successors[run[t]]:
-            raise InvalidRun(f"no symbol moves {run[t]} to {run[t + 1]} (position {t})")
-    out = []
-    for pair in dra.pairs:
-        count_L = count_K = 0
-        last_L = -1
-        for t, q in enumerate(run):
-            if q in pair.L:
-                count_L += 1
-                last_L = t
-            if q in pair.K:
-                count_K += 1
-        out.append(PairCounters(count_L=count_L, count_K=count_K, last_L_index=last_L))
-    return tuple(out)

@@ -65,10 +65,6 @@ class ParseError(CycleSynthError):
         self.key = key
 
 
-class InvalidRun(CycleSynthError):
-    pass
-
-
 class AlphabetMismatch(CycleSynthError):
     pass
 

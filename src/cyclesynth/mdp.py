@@ -1,5 +1,5 @@
-"""Labeled MDP data model, JSON loading, validation and induced-chain
-structural analysis.
+"""Labeled MDP data model, JSON loading, validation and graph checks
+of induced chains.
 
 States are indexed 0..n-1 and actions are indexed into a global action
 alphabet; action names are only used at the I/O boundary.  All types are
@@ -39,13 +39,6 @@ class StationaryPolicy:
 
 
 @dataclass(frozen=True)
-class ChainStructure:
-    recurrent_classes: tuple[frozenset[int], ...]
-    transient_states: frozenset[int]
-    reachability: dict[int, frozenset[int]]
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
 
@@ -80,12 +73,6 @@ class LabeledMdp:
     @property
     def states(self) -> range:
         return range(self.n_states)
-
-    def action_name(self, a: int) -> str:
-        return self.actions[a]
-
-    def row(self, state: int, action: int) -> np.ndarray:
-        return self.trans[(state, action)]
 
     def successors(self, state: int, action: int) -> np.ndarray:
         return np.flatnonzero(self.trans[(state, action)] > 0.0)
@@ -142,36 +129,6 @@ def validate(mdp: LabeledMdp) -> ValidationReport:
         if i >= mdp.n_states or a not in mdp.available[i]:
             bad.append(f"transition row stored for unavailable pair ({i},{a})")
     return ValidationReport(tuple(bad))
-
-
-def induced_chain(mdp: LabeledMdp, mu: StationaryPolicy) -> ChainStructure:
-    """Recurrent classes / transient states of the Markov chain P_mu."""
-    if not mu.defined_on(mdp.states):
-        missing = [s for s in mdp.states if s not in mu.choice]
-        raise PolicyIncomplete(f"policy undefined at states {missing}")
-    P, _ = mdp.policy_matrices(mu)
-    classes, transient = numerics.recurrent_classes(P)
-    succ = [set(np.flatnonzero(P[i] > 0.0).tolist()) for i in mdp.states]
-    reach = {i: frozenset(_bfs_reach(i, succ)) for i in mdp.states}
-    return ChainStructure(
-        recurrent_classes=tuple(frozenset(c) for c in classes),
-        transient_states=frozenset(transient),
-        reachability=reach,
-    )
-
-
-def _bfs_reach(start: int, succ) -> set[int]:
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return seen
 
 
 def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:

@@ -10,7 +10,7 @@ starts at 1 at the initial state whether or not it lies in the set.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from random import Random
 
 import numpy as np
@@ -71,34 +71,54 @@ def _cum_row(row: np.ndarray) -> tuple[list[float], list[int]]:
     return cum.tolist(), support.tolist()
 
 
-def simulate(mdp: LabeledMdp, policy: StationaryPolicy, n_stages: int, seed: int,
-             pi_states, collect_cycle_costs: bool = False) -> SimReport:
-    """Run a stationary policy on an MDP for n_stages steps."""
+def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
+         collect_cycle_costs: bool = False, amec_states=None):
+    """The stepping loop of every simulator.  `row_of(state)` returns
+    (cum, successors, cost) for the action taken at state.  Returns the
+    report, the visits per state, and the visits before the first entry
+    into amec_states (None if the run never enters it; the entry visit
+    itself counts as after entry)."""
+    uniform = Random(seed).random
     pi_set = frozenset(pi_states)
-    sampler = {}
-    for i in mdp.states:
-        a = policy.action(i)
-        cum, support = _cum_row(mdp.trans[(i, a)])
-        sampler[i] = (cum, support, mdp.cost[(i, a)])
-    rng = Random(seed)
-    uniform = rng.random
-    s = mdp.init
+    until = frozenset(amec_states or ())
+    hits = [0] * n_states
+    hits[state] = 1
+    entry_stage = before = None
+    if state in until:
+        entry_stage, before, until = 0, [0] * n_states, frozenset()
     total = 0.0
     cycles = 1
     cycle_cost = 0.0
     per_cycle: list[float] = []
-    for _ in range(n_stages):
-        cum, support, cost = sampler[s]
+    for stage in range(n_stages):
+        cum, succ, cost = row_of(state)
         total += cost
         cycle_cost += cost
-        s = support[bisect_left(cum, uniform())]
-        if s in pi_set:
+        state = succ[bisect_left(cum, uniform())]
+        hits[state] += 1
+        if state in pi_set:
             cycles += 1
             if collect_cycle_costs:
                 per_cycle.append(cycle_cost)
             cycle_cost = 0.0
-    return SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed,
-                     cycle_costs=tuple(per_cycle))
+        if state in until:
+            entry_stage, before, until = stage + 1, hits.copy(), frozenset()
+            before[state] -= 1
+    report = SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed,
+                       amec_entry_stage=entry_stage, cycle_costs=tuple(per_cycle))
+    return report, hits, before
+
+
+def simulate(mdp: LabeledMdp, policy: StationaryPolicy, n_stages: int, seed: int,
+             pi_states, collect_cycle_costs: bool = False) -> SimReport:
+    """Run a stationary policy on an MDP for n_stages steps."""
+    table = []
+    for i in mdp.states:
+        a = policy.action(i)
+        cum, support = _cum_row(mdp.trans[(i, a)])
+        table.append((cum, support, mdp.cost[(i, a)]))
+    return _run(table.__getitem__, mdp.init, mdp.n_states, n_stages, seed, pi_states,
+                collect_cycle_costs)[0]
 
 
 def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: int,
@@ -111,58 +131,23 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     consumes the same random draws as the projected controller on the
     plain MDP under the same seed.
     """
-    sampler = {}
+    mdp = product.mdp
+    table = []
     for i in product.states:
-        s = product.pairs_of[i][0]
-        a = policy.action(i)
-        cum, _support = _cum_row(product.mdp.trans[(s, a)])
-        sampler[i] = (cum, product.succ[(i, a)], product.mdp.cost[(s, a)])
-    amec_set = frozenset(amec_states) if amec_states is not None else None
-    n_pairs = len(product.lifted_pairs)
-    count_L = [0] * n_pairs
-    count_K = [0] * n_pairs
-    count_L_after = [0] * n_pairs
-    entry_stage = None
-
-    rng = Random(seed)
-    uniform = rng.random
-    state = product.init
-    total = 0.0
-    cycles = 1
-    cycle_cost = 0.0
-    per_cycle: list[float] = []
-
-    def visit(i, stage):
-        nonlocal entry_stage
-        if amec_set is not None and entry_stage is None and i in amec_set:
-            entry_stage = stage
-        for k, (L, K) in enumerate(product.lifted_pairs):
-            if i in L:
-                count_L[k] += 1
-                if entry_stage is not None:
-                    count_L_after[k] += 1
-            if i in K:
-                count_K[k] += 1
-
-    visit(state, 0)
-    for stage in range(n_stages):
-        cum, succ, cost = sampler[state]
-        total += cost
-        cycle_cost += cost
-        state = succ[bisect_left(cum, uniform())]
-        visit(state, stage + 1)
-        if state in product.pi_states:
-            cycles += 1
-            if collect_cycle_costs:
-                per_cycle.append(cycle_cost)
-            cycle_cost = 0.0
+        s, a = product.pairs_of[i][0], policy.action(i)
+        cum, _support = _cum_row(mdp.trans[(s, a)])
+        table.append((cum, product.succ[(i, a)], mdp.cost[(s, a)]))
+    report, hits, before = _run(table.__getitem__, product.init, product.n_states,
+                                n_stages, seed, product.pi_states, collect_cycle_costs,
+                                amec_states)
+    if before is None:
+        before = hits  # never entered: every visit came before entry
     pairs = tuple(
-        PairEvidence(count_L=count_L[k], count_K=count_K[k],
-                     count_L_after_entry=(count_L_after[k] if amec_set is not None else None))
-        for k in range(n_pairs))
-    return SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed,
-                     pair_counters=pairs, amec_entry_stage=entry_stage,
-                     cycle_costs=tuple(per_cycle))
+        PairEvidence(count_L=sum(hits[i] for i in L), count_K=sum(hits[i] for i in K),
+                     count_L_after_entry=(None if amec_states is None
+                                          else sum(hits[i] - before[i] for i in L)))
+        for L, K in product.lifted_pairs)
+    return replace(report, pair_counters=pairs)
 
 
 def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages: int,
@@ -170,22 +155,16 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
     """Run a product-tracking controller directly on the MDP.  Uses the
     same sampling scheme as simulate_product, so costs agree exactly for
     the same seed."""
-    pi_set = frozenset(pi_states)
-    sampler = {}
-    controller.reset()
-    rng = Random(seed)
-    uniform = rng.random
-    s = mdp.init
-    total = 0.0
-    cycles = 1
-    for _ in range(n_stages):
-        a = controller.act(s)
-        total += mdp.cost[(s, a)]
-        row = sampler.get((s, a))
+    rows = {}
+    act = controller.act
+
+    def row_of(s):
+        key = (s, act(s))
+        row = rows.get(key)
         if row is None:
-            row = sampler[(s, a)] = _cum_row(mdp.trans[(s, a)])
-        cum, support = row
-        s = support[bisect_left(cum, uniform())]
-        if s in pi_set:
-            cycles += 1
-    return SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed)
+            cum, support = _cum_row(mdp.trans[key])
+            row = rows[key] = (cum, support, mdp.cost[key])
+        return row
+
+    controller.reset()
+    return _run(row_of, mdp.init, mdp.n_states, n_stages, seed, pi_states)[0]

@@ -26,7 +26,7 @@ from conftest import (
 )
 from cyclesynth import acpc, acps, dra as dra_mod, numerics, sim
 from cyclesynth.acpc import CycleProblem, PolicyIterationStatus
-from cyclesynth.errors import ImproperPolicy, ParseError
+from cyclesynth.errors import ParseError
 from cyclesynth.mdp import StationaryPolicy, is_proper
 from cyclesynth.synth import synthesize
 from test_numerics import random_stochastic

@@ -1,7 +1,6 @@
 import numpy as np
 
 from cyclesynth import acps
-from cyclesynth.acps import GainBias
 
 
 class TestGainBias:
@@ -32,36 +31,3 @@ class TestGainBias:
         g = np.array([1.0, 4.0])
         gb = acps.acps_gain_bias(P, g)
         np.testing.assert_allclose(gb.J, [1.0, 4.0], atol=1e-12)
-
-
-class TestBellmanCheck:
-    def _two_action_instance(self):
-        # state 0: action 0 self-loop cost 5, action 1 -> state 1 cost 1
-        # state 1: action 0 -> state 0 cost 1
-        available = [(0, 1), (0,)]
-        trans = {
-            (0, 0): np.array([1.0, 0.0]),
-            (0, 1): np.array([0.0, 1.0]),
-            (1, 0): np.array([1.0, 0.0]),
-        }
-        cost = {(0, 0): 5.0, (0, 1): 1.0, (1, 0): 1.0}
-        return available, trans, cost
-
-    def test_accepts_optimal(self):
-        available, trans, cost = self._two_action_instance()
-        # optimal: alternate 0 <-> 1, gain 1, bias (0, 0) up to a constant
-        gb = GainBias(J=np.array([1.0, 1.0]), h=np.array([0.0, 0.0]))
-        assert acps.acps_bellman_check(available, trans, cost, gb)
-
-    def test_rejects_suboptimal(self):
-        available, trans, cost = self._two_action_instance()
-        # self-loop policy: gain 5 everywhere is not optimal at state 0
-        P = np.array([[1.0, 0.0], [1.0, 0.0]])
-        g = np.array([5.0, 1.0])
-        gb = acps.acps_gain_bias(P, g)
-        assert not acps.acps_bellman_check(available, trans, cost, gb)
-
-    def test_rejects_non_constant_gain(self):
-        available, trans, cost = self._two_action_instance()
-        gb = GainBias(J=np.array([1.0, 2.0]), h=np.array([0.0, 0.0]))
-        assert not acps.acps_bellman_check(available, trans, cost, gb)

@@ -78,7 +78,7 @@ class TestAcceptingAmecs:
             assert not comp.states & L
 
     def test_dedupe_across_pairs(self, toy_b):
-        from cyclesynth.dra import Dra, RabinPair
+        from cyclesynth.dra import Dra
         # two identical pairs produce the same component once
         base = always_accepting_dra()
         dra = Dra(n_states=1, ap=base.ap, start=0,

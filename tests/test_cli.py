@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 if sys.version_info >= (3, 11):
     import tomllib
 else:  # pytest depends on tomli before Python 3.11
@@ -68,9 +70,15 @@ class TestSynthesizeCommand:
         assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,
                      "--pi", "pickup"]) == 1
 
-    def test_retries_and_jobs_flags(self, tmp_path):
+    def test_retries_and_jobs_flags(self, capsys):
         assert main(["synthesize", "--mdp", TWO_AMEC, "--dra", TRIVIAL_DRA,
-                     "--pi", "pi", "--retries", "3", "--jobs", "2"]) == 0
+                     "--pi", "pi", "--retries", "3"]) == 0
+        # --jobs is gone: worker threads gave no speed-up
+        with pytest.raises(SystemExit) as exc:
+            main(["synthesize", "--mdp", TWO_AMEC, "--dra", TRIVIAL_DRA,
+                  "--pi", "pi", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 class TestSimulateCommand:

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from conftest import always_accepting_dra, pickup_delivery_dra, random_dra, write_ltl2dstar
 from cyclesynth import dra as dra_mod
-from cyclesynth.dra import Dra, RabinPair, acceptance_counters, parse_symbol_key, symbol_key
-from cyclesynth.errors import InvalidRun, InvariantViolation, ParseError
+from cyclesynth.dra import Dra, RabinPair, parse_symbol_key, symbol_key
+from cyclesynth.errors import InvariantViolation, ParseError
 
 
 def gfg_dra():
@@ -157,24 +157,3 @@ class TestRoundTripProperty:
         d = random_dra(seed)
         assert dra_mod.parse_ltl2dstar(write_ltl2dstar(d)) == d
         assert dra_mod.from_json_dict(dra_mod.to_json_dict(d)) == d
-
-
-class TestAcceptanceCounters:
-    def test_counts(self):
-        d = gfg_dra()
-        counters = acceptance_counters(d, [0, 1, 0, 1, 1])
-        assert counters[0].count_K == 3
-        assert counters[0].count_L == 0
-        assert counters[0].last_L_index == -1
-
-    def test_last_l_index(self):
-        d = pickup_delivery_dra()
-        counters = acceptance_counters(d, [0, 1, 3, 3])
-        assert counters[0].count_L == 2
-        assert counters[0].last_L_index == 3
-
-    def test_invalid_run(self):
-        d = pickup_delivery_dra()
-        # the trap state 3 has no edge back to 0
-        with pytest.raises(InvalidRun, match="position 2"):
-            acceptance_counters(d, [0, 1, 3, 0])

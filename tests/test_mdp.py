@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_mdp, single_policy
+from conftest import make_mdp
 from cyclesynth import mdp as mdp_mod
+from cyclesynth import numerics
 from cyclesynth.errors import InvariantViolation, ParseError, PolicyIncomplete
-from cyclesynth.mdp import StationaryPolicy, induced_chain, is_communicating, is_proper
+from cyclesynth.mdp import StationaryPolicy, is_communicating, is_proper
 
 
 def toy_b_json():
@@ -61,10 +62,10 @@ class TestModel:
 
 class TestChainAnalysis:
     def test_induced_chain_self_loop(self, toy_b):
-        chain = induced_chain(toy_b, StationaryPolicy({0: 0, 1: 0}))
-        assert chain.recurrent_classes == (frozenset({0}),)
-        assert chain.transient_states == frozenset({1})
-        assert chain.reachability[1] == frozenset({0, 1})
+        P, _g = toy_b.policy_matrices(StationaryPolicy({0: 0, 1: 0}))
+        classes, transient = numerics.recurrent_classes(P)
+        assert classes == [[0]]
+        assert transient == [1]
 
     def test_is_proper(self, toy_b):
         loop = StationaryPolicy({0: 0, 1: 0})

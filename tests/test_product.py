@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
 from conftest import (
     always_accepting_dra,
-    make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
 )

@@ -4,15 +4,86 @@ import pytest
 
 from conftest import (
     always_accepting_dra,
+    make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
+    random_cycle_problem,
     single_policy,
 )
 from cyclesynth import acpc, sim
 from cyclesynth.acpc import CycleProblem
+from cyclesynth.dra import Dra, RabinPair
 from cyclesynth.mdp import StationaryPolicy
 from cyclesynth.product import build_product
 from cyclesynth.synth import synthesize
+
+
+def detour_product():
+    """State 0 (labeled bad) lingers before moving on to the 1 <-> 2
+    cycle; "stay" never leaves it.  The automaton remembers whether the
+    last label was bad: L = {bad seen}, K = {not seen}.  Returns the
+    product, the always-"go" policy, the always-"stay" policy and the
+    accepting component {(1, 0), (2, 0)}."""
+    mdp = make_mdp(
+        3, ["go", "stay"],
+        rows={(0, "go"): [(0, 0.8), (1, 0.2)], (0, "stay"): [(0, 1.0)],
+              (1, "go"): [(2, 1.0)], (2, "go"): [(1, 1.0)]},
+        costs={(0, "go"): 1.0, (0, "stay"): 1.0, (1, "go"): 2.0, (2, "go"): 3.0},
+        labels={0: ["bad"], 1: ["pi"]})
+    symbols = [frozenset(), frozenset({"bad"}), frozenset({"pi"}),
+               frozenset({"bad", "pi"})]
+    dra = Dra(n_states=2, ap=("bad", "pi"), start=0,
+              pairs=(RabinPair(L=frozenset({1}), K=frozenset({0})),),
+              delta={(q, sym): int("bad" in sym) for q in range(2) for sym in symbols})
+    product = build_product(mdp, dra, "pi")
+    go = StationaryPolicy({i: 0 for i in product.states})
+    stay = StationaryPolicy({i: 1 if product.pairs_of[i][0] == 0 else 0
+                             for i in product.states})
+    component = frozenset(product.index_of[(s, 0)] for s in (1, 2))
+    return product, go, stay, component
+
+
+def _golden_runs():
+    problem, _k = random_cycle_problem(7)
+    mdp = problem.mdp
+    yield "simulate", sim.simulate(mdp, single_policy(mdp), 3000, seed=1,
+                                   pi_states=problem.pi_states,
+                                   collect_cycle_costs=True)
+    pd = pickup_delivery_mdp()
+    result = synthesize(pd, pickup_delivery_dra(), "pickup")
+    product, policy = result.product, result.stitched_policy
+    yield "product", sim.simulate_product(product, policy, 5000, seed=5)
+    yield "product_amec", sim.simulate_product(
+        product, policy, 5000, seed=5, amec_states=result.winning_states(),
+        collect_cycle_costs=True)
+    yield "executable", sim.simulate_executable(pd, result.executable(), 5000, seed=5,
+                                                pi_states=pd.pi_states("pickup"))
+    detour, go, _stay, _component = detour_product()
+    yield "detour", sim.simulate_product(
+        detour, go, 300, seed=3, amec_states={detour.index_of[(1, 1)]},
+        collect_cycle_costs=True)
+
+
+# (total cost, cycles, (count_L, count_K, count_L_after_entry) per pair,
+#  component entry stage, first four cycle costs)
+GOLDEN = {
+    "simulate": (14350.758452032489, 759, (), None,
+                 (125.39152293574342, 2.5165554561493138, 37.02882862116534,
+                  19.772692038657325)),
+    "product": (15048.0, 331, ((0, 331, None),), None, ()),
+    "product_amec": (15048.0, 331, ((0, 331, 0),), 0, (40.0, 49.0, 41.0, 48.0)),
+    "executable": (15048.0, 331, (), None, ()),
+    "detour": (738.0, 148, ((8, 293, 1),), 8, (8.0, 5.0, 5.0, 5.0)),
+}
+
+
+def test_seeded_reports_are_pinned():
+    for name, report in _golden_runs():
+        pairs = tuple((p.count_L, p.count_K, p.count_L_after_entry)
+                      for p in report.pair_counters)
+        got = (report.total_cost, report.cycles, pairs, report.amec_entry_stage,
+               report.cycle_costs[:4])
+        assert got == GOLDEN[name], name
 
 
 class TestSimulate:
@@ -100,6 +171,25 @@ class TestSimulateProduct:
         assert pair.count_K > 0   # picked up over and over
         assert pair.count_L_after_entry == 0
         assert report.amec_entry_stage == 0  # the initial state is inside
+
+    def test_l_visited_before_entry(self):
+        product, go, _stay, component = detour_product()
+        report = sim.simulate_product(product, go, 300, seed=3,
+                                      amec_states=component)
+        pair = report.pair_counters[0]
+        # every stage from 1 up to entry lingers in L; none after it does
+        assert report.amec_entry_stage > 2
+        assert pair.count_L == report.amec_entry_stage - 1
+        assert pair.count_L_after_entry == 0 < pair.count_L
+
+    def test_never_entering(self):
+        product, _go, stay, component = detour_product()
+        report = sim.simulate_product(product, stay, 300, seed=3,
+                                      amec_states=component)
+        pair = report.pair_counters[0]
+        assert report.amec_entry_stage is None
+        assert pair.count_L == 300
+        assert pair.count_L_after_entry == 0
 
     def test_empirical_acpc_near_lambda(self):
         _mdp, _dra, result = self._solved()
