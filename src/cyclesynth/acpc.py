@@ -222,17 +222,19 @@ def acpc_optimality_check(problem: CycleProblem, lam: float, h,
     """
     mdp = problem.mdp
     h = np.asarray(h, dtype=float)
-    out_mask = ~problem.pi_mask()
+    # h(j) plus lam for a successor outside the cycle set
+    target = (h + lam * ~problem.pi_mask()).tolist()
     scaled_tol = _gain_scaled(tol, lam)
     for i in mdp.states:
-        best = math.inf
-        for a in mdp.available[i]:
-            row = mdp.trans[(i, a)]
-            val = mdp.cost[(i, a)] + float(row @ h) + lam * float(row[out_mask].sum())
-            best = min(best, val)
+        best = min(mdp.cost[(i, a)] + _expect(mdp, (i, a), target) for a in mdp.available[i])
         if abs(lam + h[i] - best) > scaled_tol:
             return False
     return True
+
+
+def _expect(mdp: LabeledMdp, key, values: list[float]) -> float:
+    """sum_j P(i, u, j) values[j] over the sparse row key = (i, u)."""
+    return sum(p * values[j] for j, p in zip(mdp.succ[key], mdp.prob[key]))
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +266,7 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
     else:
         choice, classes = _initial_policy(problem, k_states)
 
-    pi_mask = problem.pi_mask()
+    out_mask = ~problem.pi_mask()
     cap = max(10 * mdp.n_states, 20)
     for iteration in range(cap):
         mu = StationaryPolicy(dict(enumerate(choice)))
@@ -274,12 +276,13 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
                 and acpc_optimality_check(problem, gb.lam, gb.h, tol=tol)):
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.OPTIMAL, iteration)
 
-        u_bar = _argmin_sets(mdp, lambda i, a: float(mdp.trans[(i, a)] @ gb.J))
+        J = gb.J.tolist()
+        u_bar = _argmin_sets(mdp, lambda i, a: _expect(mdp, (i, a), J))
         if all(choice[i] in u_bar[i] for i in mdp.states):
+            # h(j) plus J(j) for a successor outside the cycle set
+            target = (gb.h + gb.J * out_mask).tolist()
             candidates = _argmin_sets(
-                mdp,
-                lambda i, a: mdp.cost[(i, a)] + float(mdp.trans[(i, a)] @ gb.h)
-                + float(mdp.trans[(i, a)][~pi_mask] @ gb.J[~pi_mask]),
+                mdp, lambda i, a: mdp.cost[(i, a)] + _expect(mdp, (i, a), target),
                 restrict=u_bar,
             )
         else:
@@ -313,10 +316,8 @@ def _as_choice(mdp: LabeledMdp, mu: StationaryPolicy) -> tuple[int, ...]:
 
 
 def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
-    P = np.zeros((mdp.n_states, mdp.n_states))
-    for i in mdp.states:
-        P[i] = mdp.trans[(i, choice[i])]
-    classes, _ = numerics.recurrent_classes(P)
+    classes, _ = numerics._bottom_classes([sorted(mdp.succ[(i, a)])
+                                           for i, a in enumerate(choice)])
     return classes
 
 
@@ -352,8 +353,7 @@ def _constrained_select(problem: CycleProblem, candidate, candidate_sets, k_stat
         for cls in offending:
             for i in sorted(cls):
                 for a in sorted(candidate_sets[i]):
-                    succ = set(mdp.successors(i, a).tolist())
-                    if succ - cls:
+                    if not cls.issuperset(mdp.succ[(i, a)]):
                         if choice[i] != a:
                             choice[i] = a
                             changed = True
@@ -402,8 +402,8 @@ def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
     dist = {t: 0 for t in targets}
     frontier = set(targets)
     pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # j -> (i, a)
-    for (i, a), row in mdp.trans.items():
-        for j in np.flatnonzero(row > 0.0):
+    for (i, a), succ in mdp.succ.items():
+        for j in succ:
             pred[j].append((i, a))
     choice = [-1] * n
     d = 0
@@ -423,7 +423,7 @@ def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
         acts = mdp.available[t]
         choice[t] = acts[0]
         for a in acts:
-            if any(int(j) in dist for j in mdp.successors(t, a)):
+            if any(j in dist for j in mdp.succ[(t, a)]):
                 choice[t] = a
                 break
     for i in range(n):
@@ -464,11 +464,7 @@ def brute_force_acpc(problem: CycleProblem, k_states=None,
     best_choice = None
     best_lam = math.inf
     for choice in itertools.product(*[sorted(acts) for acts in mdp.available]):
-        P = np.zeros((mdp.n_states, mdp.n_states))
-        g = np.zeros(mdp.n_states)
-        for i in mdp.states:
-            P[i] = mdp.trans[(i, choice[i])]
-            g[i] = mdp.cost[(i, choice[i])]
+        P, g = mdp.policy_matrices(StationaryPolicy(dict(enumerate(choice))))
         J = _policy_gain(P, g, pi_mask, k_set)
         if J is None:
             continue

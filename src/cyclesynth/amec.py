@@ -33,7 +33,7 @@ def maximal_end_components(product: ProductMdp, restrict=None):
     restrict optionally limits the state set considered (used by the
     accepting filter to excise L states).
     """
-    succ = product.succ
+    succ = product.model.succ
     alive = set(product.states if restrict is None else restrict)
     actions = {i: [a for a in product.available(i)] for i in alive}
 
@@ -116,6 +116,7 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
+    succ = product.model.succ
     u = set(product.states)
     while True:
         # states that can reach the target using actions confined to u
@@ -125,8 +126,8 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
             changed = False
             for i in u - v:
                 for a in product.available(i):
-                    succ = product.succ[(i, a)]
-                    if u.issuperset(succ) and not v.isdisjoint(succ):
+                    row = succ[(i, a)]
+                    if u.issuperset(row) and not v.isdisjoint(row):
                         v.add(i)
                         changed = True
                         break
@@ -137,7 +138,7 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
 
 def retained_actions(product: ProductMdp, target, safe) -> dict[int, list[int]]:
     """Actions whose successors stay inside the almost-sure set."""
-    succ = product.succ
+    succ = product.model.succ
     return {i: [a for a in product.available(i) if safe.issuperset(succ[(i, a)])]
             for i in safe if i not in target}
 
@@ -156,6 +157,7 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
             "the initial state cannot reach this accepting component with "
             "probability 1")
     retained = retained_actions(product, amec.states, safe)
+    succ = product.model.succ
     # BFS layers from the component through retained actions
     dist = {i: 0 for i in amec.states if i in safe}
     frontier = set(dist)
@@ -167,7 +169,7 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
             if i in dist or i in amec.states:
                 continue
             for a in retained[i]:
-                if not frontier.isdisjoint(product.succ[(i, a)]):
+                if not frontier.isdisjoint(succ[(i, a)]):
                     dist[i] = d + 1
                     choice[i] = a
                     nxt.add(i)

@@ -9,7 +9,8 @@ immutable after construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,31 +52,26 @@ class ValidationReport:
 class LabeledMdp:
     """Finite labeled MDP with strictly positive action costs.
 
-    trans maps (state, action index) to a dense probability row; rows are
-    stored only for available actions.
+    Transitions are sparse rows keyed by (state, action index), stored
+    only for available actions: succ holds the distinct successors and
+    prob their positive probabilities in the same order.  The product
+    and its component sub-problems are LabeledMdps too, sharing the prob
+    tuples of the MDP they come from.
     """
 
     n_states: int
     actions: tuple[str, ...]
     available: tuple[tuple[int, ...], ...]
-    trans: dict[tuple[int, int], np.ndarray]
+    succ: dict[tuple[int, int], tuple[int, ...]]
+    prob: dict[tuple[int, int], tuple[float, ...]]
     cost: dict[tuple[int, int], float]
     init: int
     props: frozenset[str]
-    label: tuple[frozenset[str], ...] = field(default=())
-
-    def __post_init__(self):
-        if not self.label:
-            object.__setattr__(self, "label", tuple(frozenset() for _ in range(self.n_states)))
-        for row in self.trans.values():
-            row.setflags(write=False)
+    label: tuple[frozenset[str], ...]
 
     @property
     def states(self) -> range:
         return range(self.n_states)
-
-    def successors(self, state: int, action: int) -> np.ndarray:
-        return np.flatnonzero(self.trans[(state, action)] > 0.0)
 
     def pi_states(self, pi: str) -> frozenset[int]:
         return frozenset(i for i in self.states if pi in self.label[i])
@@ -85,18 +81,10 @@ class LabeledMdp:
         P = np.zeros((self.n_states, self.n_states))
         g = np.zeros(self.n_states)
         for i in self.states:
-            a = mu.action(i)
-            P[i] = self.trans[(i, a)]
-            g[i] = self.cost[(i, a)]
+            key = (i, mu.action(i))
+            P[i, list(self.succ[key])] = self.prob[key]
+            g[i] = self.cost[key]
         return P, g
-
-    def union_successors(self) -> list[set[int]]:
-        """Successor sets of the digraph with an edge whenever some
-        available action moves i to j with positive probability."""
-        succ: list[set[int]] = [set() for _ in self.states]
-        for (i, _a), row in self.trans.items():
-            succ[i].update(np.flatnonzero(row > 0.0).tolist())
-        return succ
 
 
 def validate(mdp: LabeledMdp) -> ValidationReport:
@@ -112,20 +100,30 @@ def validate(mdp: LabeledMdp) -> ValidationReport:
     for i in mdp.states:
         for a in mdp.available[i] if i < len(mdp.available) else ():
             key = (i, a)
-            if key not in mdp.trans:
-                bad.append(f"missing transition row at ({i},{mdp.actions[a]})")
+            at = f"at ({i},{mdp.actions[a]})"
+            if key not in mdp.succ or key not in mdp.prob:
+                bad.append(f"missing transition row {at}")
                 continue
-            row = mdp.trans[key]
-            if np.any(row < 0.0) or np.any(row > 1.0):
-                bad.append(f"probability outside [0,1] at ({i},{mdp.actions[a]})")
-            s = float(row.sum())
-            if abs(s - 1.0) > ROW_SUM_TOL:
-                bad.append(f"row sum {s:.10g} != 1 at ({i},{mdp.actions[a]})")
+            succ, prob = mdp.succ[key], mdp.prob[key]
+            if len(succ) != len(prob):
+                bad.append(f"{len(succ)} successors but {len(prob)} probabilities {at}")
+            if len(set(succ)) != len(succ):
+                bad.append(f"repeated successor {at}")
+            if not all(0 <= j < mdp.n_states for j in succ):
+                bad.append(f"successor out of range {at}")
+            if not all(math.isfinite(p) for p in prob):
+                bad.append(f"non-finite probability {at}")
+            elif not all(0.0 < p <= 1.0 for p in prob):
+                bad.append(f"probability outside (0,1] {at}")
+            elif abs(math.fsum(prob) - 1.0) > ROW_SUM_TOL:
+                bad.append(f"row sum {math.fsum(prob):.10g} != 1 {at}")
             if key not in mdp.cost:
-                bad.append(f"missing cost at ({i},{mdp.actions[a]})")
+                bad.append(f"missing cost {at}")
+            elif not math.isfinite(mdp.cost[key]):
+                bad.append(f"non-finite cost {at}")
             elif not mdp.cost[key] > 0.0:
-                bad.append(f"non-positive cost at ({i},{mdp.actions[a]})")
-    for (i, a) in mdp.trans:
+                bad.append(f"non-positive cost {at}")
+    for (i, a) in mdp.succ.keys() | mdp.prob.keys():
         if i >= mdp.n_states or a not in mdp.available[i]:
             bad.append(f"transition row stored for unavailable pair ({i},{a})")
     return ValidationReport(tuple(bad))
@@ -137,13 +135,11 @@ def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    P, _ = mdp.policy_matrices(mu)
-    succ = [set(np.flatnonzero(P[i] > 0.0).tolist()) for i in mdp.states]
     # backward BFS from the target
-    pred: list[set[int]] = [set() for _ in mdp.states]
+    pred: list[list[int]] = [[] for _ in mdp.states]
     for i in mdp.states:
-        for j in succ[i]:
-            pred[j].add(i)
+        for j in mdp.succ[(i, mu.action(i))]:
+            pred[j].append(i)
     can_reach = set(target)
     frontier = list(target)
     while frontier:
@@ -160,7 +156,8 @@ def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
 def is_communicating(mdp: LabeledMdp) -> bool:
     """True iff the union digraph over all available actions is strongly
     connected (every pair connected under some policy)."""
-    succ = [sorted(s) for s in mdp.union_successors()]
+    succ = [sorted({j for a in mdp.available[i] for j in mdp.succ[(i, a)]})
+            for i in mdp.states]
     comp = numerics._tarjan_scc(mdp.n_states, succ)
     return max(comp) == 0 if mdp.n_states else True
 
@@ -189,43 +186,62 @@ def from_json_dict(data: dict) -> LabeledMdp:
         extra = set(s) - {"id", "label"}
         if extra:
             raise ParseError(f"unknown keys {sorted(extra)} in state {s.get('id')}")
-        labels[int(s["id"])] = frozenset(s.get("label", []))
-    actions = tuple(data["actions"])
+        labels[int(s["id"])] = frozenset(_of_kind(s.get("label", []), list, "label"))
+    actions = tuple(_of_kind(data["actions"], list, "actions"))
     act_idx = {a: k for k, a in enumerate(actions)}
     available: list[tuple[int, ...]] = [()] * n
-    for key, acts in data["available"].items():
+    for key, acts in _of_kind(data["available"], dict, "available").items():
         i = _parse_state_key(key, n)
         try:
-            available[i] = tuple(act_idx[a] for a in acts)
+            available[i] = tuple(act_idx[a] for a in _of_kind(acts, list, key))
         except KeyError as exc:
             raise ParseError(f"unknown action {exc} at state {i}", key=key) from exc
-    trans: dict[tuple[int, int], np.ndarray] = {}
-    for key, entries in data["trans"].items():
+    succ, prob = {}, {}
+    for key, entries in _of_kind(data["trans"], dict, "trans").items():
         i, a = _parse_pair_key(key, n, act_idx)
-        row = np.zeros(n)
-        for entry in entries:
-            if len(entry) != 2:
-                raise ParseError("transition entries must be [state, prob] pairs", key=key)
-            j, p = int(entry[0]), float(entry[1])
+        row: dict[int, float] = {}
+        for entry in _of_kind(entries, list, key):
+            try:
+                j, p = entry
+                j, p = int(j), float(p)
+            except (TypeError, ValueError):
+                raise ParseError("transition entries must be [state, prob] pairs",
+                                 key=key) from None
             if not 0 <= j < n:
                 raise ParseError(f"successor {j} out of range", key=key)
-            row[j] += p
-        s = float(row.sum())
+            if not math.isfinite(p):
+                raise ParseError(f"non-finite probability {p}", key=key)
+            row[j] = row.get(j, 0.0) + p
+        support = sorted(j for j, p in row.items() if p != 0.0)
+        s = 0.0
+        for j in support:  # left to right: builtin sum() rounds differently from 3.12 on
+            s += row[j]
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise ParseError(f"row sum {s:.10g} != 1", key=key)
-        trans[(i, a)] = row / s  # renormalized exactly once at load
+        succ[(i, a)] = tuple(support)
+        prob[(i, a)] = tuple(row[j] / s for j in support)  # renormalized once at load
     cost = {}
-    for key, c in data["cost"].items():
+    for key, c in _of_kind(data["cost"], dict, "cost").items():
         i, a = _parse_pair_key(key, n, act_idx)
-        cost[(i, a)] = float(c)
+        try:
+            cost[(i, a)] = float(c)
+        except (TypeError, ValueError):
+            raise ParseError(f"cost {c!r} is not a number", key=key) from None
+        if not math.isfinite(cost[(i, a)]):
+            raise ParseError(f"non-finite cost {c}", key=key)
+    try:
+        init = int(data["init"])
+    except (TypeError, ValueError):
+        raise ParseError(f"init {data['init']!r} is not a state index") from None
     props = frozenset().union(*labels) if labels else frozenset()
     mdp = LabeledMdp(
         n_states=n,
         actions=actions,
         available=tuple(available),
-        trans=trans,
+        succ=succ,
+        prob=prob,
         cost=cost,
-        init=int(data["init"]),
+        init=init,
         props=props,
         label=tuple(labels),
     )
@@ -250,12 +266,21 @@ def to_json_dict(mdp: LabeledMdp) -> dict:
         "actions": list(mdp.actions),
         "available": {str(i): [mdp.actions[a] for a in mdp.available[i]] for i in mdp.states},
         "trans": {
-            f"{i},{mdp.actions[a]}": [[int(j), float(row[j])] for j in np.flatnonzero(row > 0.0)]
-            for (i, a), row in sorted(mdp.trans.items())
+            f"{i},{mdp.actions[a]}": [[j, p] for j, p in zip(succ, mdp.prob[(i, a)])]
+            for (i, a), succ in sorted(mdp.succ.items())
         },
         "cost": {f"{i},{mdp.actions[a]}": float(c) for (i, a), c in sorted(mdp.cost.items())},
         "init": mdp.init,
     }
+
+
+def _of_kind(value, kind: type, key: str):
+    """value itself, or ParseError if it is not a JSON object (dict) or
+    array (list) as kind asks."""
+    if not isinstance(value, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise ParseError(f"expected {expected}, got {type(value).__name__}", key=key)
+    return value
 
 
 def _parse_state_key(key: str, n: int) -> int:

@@ -61,14 +61,19 @@ def _check_stochastic(P, tol=1e-9):
 
 
 def recurrent_classes(P) -> tuple[list[list[int]], list[int]]:
-    """Recurrent classes and transient states of a stochastic matrix.
+    """Recurrent classes and transient states of a stochastic matrix."""
+    P = np.asarray(P, dtype=float)
+    return _bottom_classes([np.flatnonzero(row > 0.0) for row in P])
+
+
+def _bottom_classes(succ) -> tuple[list[list[int]], list[int]]:
+    """Recurrent classes and transient states of the chain whose state i
+    moves with positive probability exactly to succ[i].
 
     A class is recurrent iff its strongly connected component has no
     positive-probability edge leaving it (bottom SCC).
     """
-    P = np.asarray(P, dtype=float)
-    n = P.shape[0]
-    succ = [np.flatnonzero(P[i] > 0.0) for i in range(n)]
+    n = len(succ)
     comp = _tarjan_scc(n, succ)
     n_comp = max(comp) + 1
     closed = [True] * n_comp

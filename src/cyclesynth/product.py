@@ -7,8 +7,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dra import Dra
 from .errors import AlphabetMismatch, PiUnused, UntrackedState
 from .mdp import LabeledMdp, StationaryPolicy
@@ -18,9 +16,11 @@ from .mdp import LabeledMdp, StationaryPolicy
 class ProductMdp:
     """Synchronized MDP x DRA restricted to states reachable from the
     initial pair.  Product states are indexed densely; `pairs_of` maps an
-    index back to its (mdp state, dra state) pair.  `succ[(i, a)]` holds
-    the positive-probability successors of (i, a), in the order of the
-    MDP row's successors; their probabilities stay in the MDP rows."""
+    index back to its (mdp state, dra state) pair.  `model` is the
+    product's own labeled MDP: each row lists the product successors in
+    the order of the MDP row's successors and shares that row's
+    probabilities; only the optimizing proposition is labeled.
+    `q_next[i]` is the automaton state after reading state i's label."""
 
     mdp: LabeledMdp
     dra: Dra
@@ -31,52 +31,18 @@ class ProductMdp:
     init: int
     lifted_pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]  # (L_P, K_P)
     pi_states: frozenset[int]
-    succ: dict[tuple[int, int], tuple[int, ...]]
+    model: LabeledMdp
+    q_next: tuple[int, ...]
 
     @property
     def states(self) -> range:
         return range(self.n_states)
 
     def available(self, i: int):
-        s, _q = self.pairs_of[i]
-        return self.mdp.available[s]
-
-    def cost(self, i: int, a: int) -> float:
-        s, _q = self.pairs_of[i]
-        return self.mdp.cost[(s, a)]
-
-    def transitions(self, i: int, a: int) -> list[tuple[int, float]]:
-        """Positive-probability successors of (i, a) as (index, prob)."""
-        row = self.mdp.trans[(self.pairs_of[i][0], a)]
-        return [(j, float(row[self.pairs_of[j][0]])) for j in self.succ[(i, a)]]
+        return self.model.available[i]
 
     def as_mdp(self) -> LabeledMdp:
-        """Explicit labeled MDP over the product state space (labels
-        carry the optimizing proposition only)."""
-        trans = {}
-        cost = {}
-        available = []
-        for i in self.states:
-            acts = self.available(i)
-            available.append(tuple(acts))
-            for a in acts:
-                row = np.zeros(self.n_states)
-                for j, p in self.transitions(i, a):
-                    row[j] += p
-                trans[(i, a)] = row
-                cost[(i, a)] = self.cost(i, a)
-        label = tuple(frozenset([self.pi]) if i in self.pi_states else frozenset()
-                      for i in self.states)
-        return LabeledMdp(
-            n_states=self.n_states,
-            actions=self.mdp.actions,
-            available=tuple(available),
-            trans=trans,
-            cost=cost,
-            init=self.init,
-            props=frozenset([self.pi]),
-            label=label,
-        )
+        return self.model
 
     def state_name(self, i: int) -> str:
         s, q = self.pairs_of[i]
@@ -99,23 +65,23 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
     start = (mdp.init, dra.start)
     index_of = {start: 0}
     pairs_of = [start]
-    succ = {}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for (s, q) in frontier:
-            q2 = dra.step(q, mdp.label[s])
-            support = {a: mdp.successors(s, a).tolist() for a in mdp.available[s]}
-            for j in sorted(set().union(*support.values())):
-                key = (j, q2)
-                if key not in index_of:
-                    index_of[key] = len(pairs_of)
-                    pairs_of.append(key)
-                    nxt.append(key)
-            i = index_of[(s, q)]
-            for a, states in support.items():
-                succ[(i, a)] = tuple(index_of[(j, q2)] for j in states)
-        frontier = nxt
+    q_next = []
+    succ, prob, cost = {}, {}, {}
+    i = 0
+    while i < len(pairs_of):  # breadth first: pairs_of is the queue
+        s, q = pairs_of[i]
+        q2 = dra.step(q, mdp.label[s])
+        q_next.append(q2)
+        for j in sorted({j for a in mdp.available[s] for j in mdp.succ[(s, a)]}):
+            if (j, q2) not in index_of:
+                index_of[(j, q2)] = len(pairs_of)
+                pairs_of.append((j, q2))
+        for a in mdp.available[s]:
+            key = (i, a)
+            succ[key] = tuple(index_of[(j, q2)] for j in mdp.succ[(s, a)])
+            prob[key] = mdp.prob[(s, a)]
+            cost[key] = mdp.cost[(s, a)]
+        i += 1
 
     lifted = []
     for pair in dra.pairs:
@@ -123,6 +89,18 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         K = frozenset(i for i, (_s, q) in enumerate(pairs_of) if q in pair.K)
         lifted.append((L, K))
     pi_states = frozenset(i for i, (s, _q) in enumerate(pairs_of) if pi in mdp.label[s])
+    marked = frozenset([pi])
+    model = LabeledMdp(
+        n_states=len(pairs_of),
+        actions=mdp.actions,
+        available=tuple(mdp.available[s] for s, _q in pairs_of),
+        succ=succ,
+        prob=prob,
+        cost=cost,
+        init=0,
+        props=marked,
+        label=tuple(marked if i in pi_states else frozenset() for i in range(len(pairs_of))),
+    )
     return ProductMdp(
         mdp=mdp,
         dra=dra,
@@ -133,7 +111,8 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         init=0,
         lifted_pairs=tuple(lifted),
         pi_states=pi_states,
-        succ=succ,
+        model=model,
+        q_next=tuple(q_next),
     )
 
 
@@ -162,7 +141,7 @@ class ExecutablePolicy:
     def act(self, s: int) -> int:
         i = self.current_product_state(s)
         u = self.policy.action(i)
-        self.q = self.product.dra.step(self.q, self.product.mdp.label[s])
+        self.q = self.product.q_next[i]
         return u
 
 

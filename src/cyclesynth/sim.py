@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from random import Random
-
-import numpy as np
 
 from .mdp import LabeledMdp, StationaryPolicy
 from .product import ExecutablePolicy, ProductMdp
@@ -64,11 +63,11 @@ class SimReport:
         return out
 
 
-def _cum_row(row: np.ndarray) -> tuple[list[float], list[int]]:
-    support = np.flatnonzero(row > 0.0)
-    cum = np.cumsum(row[support])
+def _row(mdp: LabeledMdp, key) -> tuple[list[float], tuple[int, ...], float]:
+    """(cumulative probabilities, successors, cost) of one sparse row."""
+    cum = list(accumulate(mdp.prob[key]))
     cum[-1] = 1.0  # guard against roundoff at the top end
-    return cum.tolist(), support.tolist()
+    return cum, mdp.succ[key], mdp.cost[key]
 
 
 def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
@@ -112,11 +111,7 @@ def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
 def simulate(mdp: LabeledMdp, policy: StationaryPolicy, n_stages: int, seed: int,
              pi_states, collect_cycle_costs: bool = False) -> SimReport:
     """Run a stationary policy on an MDP for n_stages steps."""
-    table = []
-    for i in mdp.states:
-        a = policy.action(i)
-        cum, support = _cum_row(mdp.trans[(i, a)])
-        table.append((cum, support, mdp.cost[(i, a)]))
+    table = [_row(mdp, (i, policy.action(i))) for i in mdp.states]
     return _run(table.__getitem__, mdp.init, mdp.n_states, n_stages, seed, pi_states,
                 collect_cycle_costs)[0]
 
@@ -127,16 +122,11 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     """Run a stationary product policy, counting cycles on the lifted
     cycle set and acceptance visits per Rabin pair.
 
-    Successors are sampled from the underlying MDP rows, so a run here
-    consumes the same random draws as the projected controller on the
-    plain MDP under the same seed.
+    The product rows hold the MDP rows' probabilities in their order, so
+    a run here consumes the same random draws as the projected controller
+    on the plain MDP under the same seed.
     """
-    mdp = product.mdp
-    table = []
-    for i in product.states:
-        s, a = product.pairs_of[i][0], policy.action(i)
-        cum, _support = _cum_row(mdp.trans[(s, a)])
-        table.append((cum, product.succ[(i, a)], mdp.cost[(s, a)]))
+    table = [_row(product.model, (i, policy.action(i))) for i in product.states]
     report, hits, before = _run(table.__getitem__, product.init, product.n_states,
                                 n_stages, seed, product.pi_states, collect_cycle_costs,
                                 amec_states)
@@ -162,8 +152,7 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
         key = (s, act(s))
         row = rows.get(key)
         if row is None:
-            cum, support = _cum_row(mdp.trans[key])
-            row = rows[key] = (cum, support, mdp.cost[key])
+            row = rows[key] = _row(mdp, key)
         return row
 
     controller.reset()

@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 from . import acpc, amec as amec_mod
 from .acpc import CycleProblem, PolicyIterationStatus
 from .dra import Dra
@@ -60,32 +58,28 @@ class SynthesisResult:
 def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
                        ) -> tuple[CycleProblem, frozenset[int], dict[int, int], list[int]]:
     """Restrict the product to a component, renumbering its states to
-    0..m-1.  Returns the cycle problem, the local K set and the
-    local<->global index maps."""
+    0..m-1; the rows keep their probability tuples.  Returns the cycle
+    problem, the local K set and the local<->global index maps."""
+    model = product.model
     ordered = sorted(component.states)
     local = {g: k for k, g in enumerate(ordered)}
-    trans = {}
-    cost = {}
-    available = []
-    for g in ordered:
-        acts = component.actions[g]
-        available.append(tuple(acts))
-        for a in acts:
-            row = np.zeros(len(ordered))
-            for j, p in product.transitions(g, a):
-                row[local[j]] += p
-            trans[(local[g], a)] = row
-            cost[(local[g], a)] = product.cost(g, a)
+    succ, prob, cost = {}, {}, {}
+    for k, g in enumerate(ordered):
+        for a in component.actions[g]:
+            key = (k, a)
+            succ[key] = tuple(local[j] for j in model.succ[(g, a)])
+            prob[key] = model.prob[(g, a)]
+            cost[key] = model.cost[(g, a)]
     sub = LabeledMdp(
         n_states=len(ordered),
-        actions=product.mdp.actions,
-        available=tuple(available),
-        trans=trans,
+        actions=model.actions,
+        available=tuple(component.actions[g] for g in ordered),
+        succ=succ,
+        prob=prob,
         cost=cost,
         init=0,
-        props=frozenset([product.pi]),
-        label=tuple(frozenset([product.pi]) if g in component.pi_states else frozenset()
-                    for g in ordered),
+        props=model.props,
+        label=tuple(model.label[g] for g in ordered),
     )
     problem = CycleProblem(mdp=sub, pi_states=frozenset(local[g] for g in component.pi_states))
     k_local = frozenset(local[g] for g in component.k_states)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from cyclesynth.acpc import CycleProblem
@@ -32,16 +31,17 @@ def make_mdp(n, actions, rows, costs, labels=None, init=0):
     labels: {state: [prop, ...]}
     """
     act_idx = {a: k for k, a in enumerate(actions)}
-    trans = {}
-    cost = {}
+    succ, prob, cost = {}, {}, {}
     available = [[] for _ in range(n)]
     for (i, a), entries in rows.items():
-        row = np.zeros(n)
+        row = {}
         for j, p in entries:
-            row[j] += p
-        trans[(i, act_idx[a])] = row
+            row[j] = row.get(j, 0.0) + p
+        key = (i, act_idx[a])
+        succ[key] = tuple(sorted(row))
+        prob[key] = tuple(float(row[j]) for j in succ[key])
         available[i].append(act_idx[a])
-        cost[(i, act_idx[a])] = float(costs[(i, a)])
+        cost[key] = float(costs[(i, a)])
     labels = labels or {}
     label = tuple(frozenset(labels.get(i, ())) for i in range(n))
     props = frozenset().union(*label) if label else frozenset()
@@ -49,7 +49,8 @@ def make_mdp(n, actions, rows, costs, labels=None, init=0):
         n_states=n,
         actions=tuple(actions),
         available=tuple(tuple(sorted(acts)) for acts in available),
-        trans=trans,
+        succ=succ,
+        prob=prob,
         cost=cost,
         init=init,
         props=props,

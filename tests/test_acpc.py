@@ -258,24 +258,33 @@ class TestPolicyIteration:
     def test_recurrent_classes_once_per_chain(self, monkeypatch):
         """Policy iteration finds the recurrent classes of each policy it
         considers once, not again for every check on the same choice.
-        (The evaluation's Cesaro limit also calls recurrent_classes, on the
-        |pi| x |pi| first-return chain; those calls are not counted.)"""
+        A choice is recorded rather than its successor lists: alpha and
+        gamma share their successors on this ring, so two policies can
+        share a graph.  (The evaluation's Cesaro limit also looks for
+        recurrent classes, on the |pi| x |pi| first-return chain; those
+        calls are not counted.)"""
         prod = product.build_product(ring_mdp(100), pickup_delivery_dra(), "pickup")
         component = max(amec.accepting_amecs(prod), key=lambda c: len(c.states))
         prob, k_local, _, _ = synth.amec_cycle_problem(prod, component)
-        chains = []
-        exact = numerics.recurrent_classes
+        choices, chains = [], []
+        chain_classes, bottom_classes = acpc._chain_classes, numerics._bottom_classes
 
-        def recording(P):
-            if len(P) == prob.mdp.n_states:
-                chains.append(np.asarray(P).tobytes())
-            return exact(P)
+        def recording_choice(mdp, choice):
+            choices.append(tuple(choice))
+            return chain_classes(mdp, choice)
 
-        monkeypatch.setattr(numerics, "recurrent_classes", recording)
+        def recording_chain(succ):
+            if len(succ) == prob.mdp.n_states:
+                chains.append(succ)
+            return bottom_classes(succ)
+
+        monkeypatch.setattr(acpc, "_chain_classes", recording_choice)
+        monkeypatch.setattr(numerics, "_bottom_classes", recording_chain)
         result = acpc.policy_iteration(prob, k_local)
         assert result.status is PolicyIterationStatus.OPTIMAL
-        assert chains
-        assert len(chains) == len(set(chains))
+        assert choices
+        assert len(choices) == len(set(choices))
+        assert len(chains) == len(choices)
 
 
 class TestBruteForce:

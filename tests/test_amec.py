@@ -39,8 +39,7 @@ class TestMaximalEndComponents:
             for i in states:
                 assert actions[i]
                 for a in actions[i]:
-                    succ = {j for j, _ in product.transitions(i, a)}
-                    assert succ <= states
+                    assert set(product.model.succ[(i, a)]) <= states
 
     def test_two_disjoint_components(self):
         product = build_product(two_amec_mdp(), always_accepting_dra(), "pi")
@@ -104,8 +103,7 @@ class TestReachability:
         policy = amec_mod.reach_policy(product, comp)
         safe = amec_mod.almost_sure_reach_set(product, comp.states)
         for i in safe - comp.states:
-            succ = {j for j, _ in product.transitions(i, policy.action(i))}
-            assert succ <= safe
+            assert set(product.model.succ[(i, policy.action(i))]) <= safe
 
     def test_unreachable_component_raises(self):
         # a coin flip at the start means neither cycle is reachable with

@@ -62,6 +62,16 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_malformed_mdp_exit_one(self, tmp_path, capsys):
+        mdp = json.loads(Path(PD_MDP).read_text())
+        mdp["trans"] = []
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(mdp))
+        code = main(["synthesize", "--mdp", str(path), "--dra", PD_DRA,
+                     "--pi", "pickup"])
+        assert code == 1
+        assert "error: expected an object, got list (key 'trans')" in capsys.readouterr().err
+
     def test_tolerance_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLESYNTH_TOL", "1e-6")
         assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,

@@ -1,4 +1,5 @@
-"""Source hygiene checks that need no linter: every import is used."""
+"""Source hygiene checks that need no linter: every import is used, and
+every private module-level function in src/ is referenced from src/."""
 
 import ast
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
-SOURCES = sorted([*(REPO / "src").rglob("*.py"), *(REPO / "tests").rglob("*.py")])
+PACKAGE = sorted((REPO / "src").rglob("*.py"))
+SOURCES = sorted([*PACKAGE, *(REPO / "tests").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +43,35 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(REPO)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """Module-level functions named with a leading underscore that no code
+    in `sources` (name -> text) reads, by name or as an attribute, outside
+    the function's own body."""
+    defined: list[tuple[str, str]] = []
+    readers: dict[str, set] = {}
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owner = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = (name, stmt.name)
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append(owner)
+            for node in ast.walk(stmt):
+                ident = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute) else None)
+                readers.setdefault(ident, set()).add(owner)
+    return [f"{name}: {func}" for name, func in defined
+            if not readers.get(func, set()) - {(name, func)}]
+
+
+def test_detects_unreferenced_private_function():
+    sources = {"a.py": "def _used():\n    pass\n\ndef _dead():\n    _dead()\n",
+               "b.py": "import a\n\ndef public():\n    a._used()\n"}
+    assert unreferenced_private_functions(sources) == ["a.py: _dead"]
+
+
+def test_no_unreferenced_private_functions():
+    sources = {str(p.relative_to(REPO)): p.read_text() for p in PACKAGE}
+    assert unreferenced_private_functions(sources) == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -34,7 +35,8 @@ class TestModel:
             n_states=2,
             actions=toy_b.actions,
             available=toy_b.available,
-            trans=dict(toy_b.trans),
+            succ=toy_b.succ,
+            prob=toy_b.prob,
             cost={**toy_b.cost, (0, 0): -1.0},
             init=5,
             props=toy_b.props,
@@ -93,15 +95,16 @@ class TestJsonRoundTrip:
         assert mdp.actions == ("a", "b")
         assert mdp.available == ((0, 1), (0,))
         assert mdp.label[0] == frozenset({"pi"})
-        np.testing.assert_allclose(mdp.trans[(0, 1)], [0.0, 1.0])
+        assert mdp.succ[(0, 1)] == (1,)
+        assert mdp.prob[(0, 1)] == (1.0,)
         assert mdp.cost[(0, 0)] == 5.0
 
     def test_round_trip(self, toy_b):
         again = mdp_mod.from_json_dict(mdp_mod.to_json_dict(toy_b))
         assert again.available == toy_b.available
         assert again.cost == toy_b.cost
-        for key, row in toy_b.trans.items():
-            np.testing.assert_allclose(again.trans[key], row)
+        assert again.succ == toy_b.succ
+        assert again.prob == toy_b.prob
 
     def test_unknown_top_level_key(self):
         data = toy_b_json()
@@ -125,7 +128,7 @@ class TestJsonRoundTrip:
         data = toy_b_json()
         data["trans"]["0,b"] = [[1, 1.0 + 5e-10]]
         mdp = mdp_mod.from_json_dict(data)
-        assert float(mdp.trans[(0, 1)].sum()) == 1.0
+        assert mdp.prob[(0, 1)] == (1.0,)
 
     def test_bad_action_key(self):
         data = toy_b_json()
@@ -151,3 +154,80 @@ class TestJsonRoundTrip:
         with pytest.raises(ParseError) as err:
             mdp_mod.load(path)
         assert err.value.line is not None
+
+
+class TestRejectedInput:
+    """Non-finite numbers and malformed containers raise typed errors."""
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_probability_at_load(self, tmp_path, value):
+        data = toy_b_json()
+        data["trans"]["0,b"] = [[0, value], [1, 1.0]]
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(data))  # written as NaN / Infinity
+        with pytest.raises(ParseError, match="non-finite probability"):
+            mdp_mod.load(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_cost_at_load(self, value):
+        data = toy_b_json()
+        data["cost"]["1,a"] = value
+        with pytest.raises(ParseError, match="non-finite cost"):
+            mdp_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("succ, prob, message", [
+        ((1,), (float("nan"),), "non-finite probability"),
+        ((1,), (float("inf"),), "non-finite probability"),
+        ((0, 1), (0.0, 1.0), "probability outside (0,1]"),
+        ((2,), (1.0,), "successor out of range"),
+        ((1, 1), (0.5, 0.5), "repeated successor"),
+        ((0, 1), (1.0,), "2 successors but 1 probabilities"),
+    ])
+    def test_validate_rows(self, toy_b, succ, prob, message):
+        bad = dataclasses.replace(toy_b, succ={**toy_b.succ, (0, 1): succ},
+                                  prob={**toy_b.prob, (0, 1): prob})
+        report = mdp_mod.validate(bad)
+        assert [v for v in report.violations if message in v] == [f"{message} at (0,b)"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_validate_cost(self, toy_b, value):
+        bad = dataclasses.replace(toy_b, cost={**toy_b.cost, (0, 1): value})
+        assert mdp_mod.validate(bad).violations == ("non-finite cost at (0,b)",)
+
+    @pytest.mark.parametrize("name, value", [
+        ("trans", []), ("available", ["a"]), ("cost", 5), ("actions", "ab"),
+    ])
+    def test_container_of_wrong_type(self, name, value):
+        data = toy_b_json()
+        data[name] = value
+        with pytest.raises(ParseError, match=f"key '{name}'"):
+            mdp_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("init", [[0], None, "start"])
+    def test_init_not_an_index(self, init):
+        data = toy_b_json()
+        data["init"] = init
+        with pytest.raises(ParseError, match="not a state index"):
+            mdp_mod.from_json_dict(data)
+
+    def test_label_not_a_list(self):
+        data = toy_b_json()
+        data["states"][0]["label"] = 5
+        with pytest.raises(ParseError, match="key 'label'"):
+            mdp_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("trans", "0,b", 5),
+        ("trans", "0,b", [5]),
+        ("trans", "0,b", [[1, 1.0, 0]]),
+        ("trans", "0,b", [["one", 1.0]]),
+        ("trans", "0,b", [[1, None]]),
+        ("available", "1", 5),
+        ("cost", "0,b", [1.0]),
+        ("cost", "0,b", "cheap"),
+    ])
+    def test_entry_of_wrong_shape(self, name, key, value):
+        data = toy_b_json()
+        data[name][key] = value
+        with pytest.raises(ParseError, match=f"key '{key}'"):
+            mdp_mod.from_json_dict(data)

@@ -28,7 +28,7 @@ class TestBuildProduct:
         i0 = product.index_of[(0, 0)]
         # leaving the pickup state while idle advances the automaton to
         # "just picked up"
-        succ = dict(product.transitions(i0, 0))
+        succ = product.model.succ[(i0, 0)]
         assert set(product.pairs_of[j] for j in succ) == {(1, 1)}
 
     def test_only_reachable_states_kept(self):
@@ -44,33 +44,37 @@ class TestBuildProduct:
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
         i = product.index_of[(1, 1)]
-        probs = {product.pairs_of[j][0]: p for j, p in product.transitions(i, 0)}
+        row = zip(product.model.succ[(i, 0)], product.model.prob[(i, 0)])
+        probs = {product.pairs_of[j][0]: p for j, p in row}
         assert probs == {2: pytest.approx(0.9), 1: pytest.approx(0.1)}
 
     def test_successor_table_in_mdp_row_order(self):
-        """succ[(i, a)] lists the product successors in the order of the MDP
-        row's successors, which keeps product and MDP simulations on the
-        same draws."""
-        product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+        """Each product row lists the product successors in the order of
+        the MDP row's successors and shares that row's probability tuple,
+        which keeps product and MDP simulations on the same draws."""
+        mdp = pickup_delivery_mdp()
+        product = build_product(mdp, pickup_delivery_dra(), "pickup")
         for i in product.states:
             s, q = product.pairs_of[i]
-            q2 = product.dra.step(q, product.mdp.label[s])
+            q2 = product.dra.step(q, mdp.label[s])
+            assert product.q_next[i] == q2
             for a in product.available(i):
-                expected = tuple(product.index_of[(int(j), q2)]
-                                 for j in product.mdp.successors(s, a))
-                assert product.succ[(i, a)] == expected
+                expected = tuple(product.index_of[(j, q2)] for j in mdp.succ[(s, a)])
+                assert product.model.succ[(i, a)] == expected
+                assert product.model.prob[(i, a)] is mdp.prob[(s, a)]
 
     def test_costs_inherited(self):
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
         i = product.index_of[(1, 1)]
-        assert product.cost(i, 0) == 5.0   # alpha
-        assert product.cost(i, 1) == 10.0  # beta
+        assert product.model.cost[(i, 0)] == 5.0   # alpha
+        assert product.model.cost[(i, 1)] == 10.0  # beta
 
     def test_as_mdp_valid(self):
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
         explicit = product.as_mdp()
+        assert explicit is product.model  # built once, not rebuilt
         assert mdp_mod.validate(explicit).ok
         assert explicit.pi_states("pickup") == product.pi_states
 

@@ -149,13 +149,13 @@ class TestSimulateProduct:
     def test_executable_builds_each_sampler_once(self, monkeypatch):
         mdp, _dra, result = self._solved()
         rows = []
-        cum_row = sim._cum_row
+        row_of = sim._row
 
-        def counting(row):
-            rows.append(row.tobytes())
-            return cum_row(row)
+        def counting(mdp, key):
+            rows.append(key)
+            return row_of(mdp, key)
 
-        monkeypatch.setattr(sim, "_cum_row", counting)
+        monkeypatch.setattr(sim, "_row", counting)
         sim.simulate_executable(mdp, result.executable(), 5_000, seed=5,
                                 pi_states=mdp.pi_states("pickup"))
         assert rows

@@ -1,6 +1,7 @@
 import dataclasses
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -10,9 +11,11 @@ from conftest import (
     make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
+    ring_mdp,
     two_amec_mdp,
 )
 from cyclesynth import acpc, sim
+from cyclesynth import mdp as mdp_mod
 from cyclesynth.acpc import PolicyIterationStatus
 from cyclesynth.dra import Dra
 from cyclesynth.errors import NoReachableAmec
@@ -33,6 +36,38 @@ class TestAmecCycleProblem:
             assert problem.mdp.available[local[g]] == comp.actions[g]
         assert {ordered[i] for i in problem.pi_states} == comp.pi_states
         assert {ordered[i] for i in k_local} == comp.k_states
+
+    def test_rows_renumbered_and_shared(self):
+        product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(),
+                                "pickup")
+        comp = amec_mod.accepting_amecs(product)[0]
+        problem, _k, local, ordered = amec_cycle_problem(product, comp)
+        sub, model = problem.mdp, product.as_mdp()
+        assert mdp_mod.validate(sub).ok
+        for g in ordered:
+            for a in comp.actions[g]:
+                assert sub.succ[(local[g], a)] == tuple(local[j] for j in model.succ[(g, a)])
+                assert sub.prob[(local[g], a)] is model.prob[(g, a)]
+                assert sub.cost[(local[g], a)] == model.cost[(g, a)]
+
+
+class TestSparseRows:
+    def test_product_and_component_rows_stay_small(self):
+        """The product's labeled MDP is built once by build_product, and a
+        component keeps its sparse rows: neither allocates n-length rows
+        (at 1201 states, dense rows took about 20 MB each)."""
+        product = build_product(ring_mdp(800), pickup_delivery_dra(), "pickup")
+        assert product.n_states == 1201
+        component = max(amec_mod.accepting_amecs(product), key=lambda c: len(c.states))
+        for build in (product.as_mdp, lambda: amec_cycle_problem(product, component)):
+            tracemalloc.start()
+            try:
+                kept = build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert kept
+            assert peak <= 2 * 2 ** 20
 
 
 class TestSynthesize:
@@ -146,7 +181,8 @@ class TestSynthesize:
 class TestSuccessorTable:
     def test_automaton_stepped_once_per_product_state(self, monkeypatch):
         """build_product steps the automaton once per product state and
-        records the successors; synthesis and simulation read that record."""
+        records the successors and the next automaton state; synthesis,
+        product simulation and the executable controller read that record."""
         callers = []
         step = Dra.step
 
@@ -155,8 +191,11 @@ class TestSuccessorTable:
             return step(self, q, label)
 
         monkeypatch.setattr(Dra, "step", counting)
-        result = synthesize(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+        mdp = pickup_delivery_mdp()
+        result = synthesize(mdp, pickup_delivery_dra(), "pickup")
         sim.simulate_product(result.product, result.stitched_policy, 1000, seed=1)
+        sim.simulate_executable(mdp, result.executable(), 1000, seed=1,
+                                pi_states=mdp.pi_states("pickup"))
         assert callers == ["build_product"] * result.product.n_states
 
     def test_almost_sure_set_once_per_component(self, monkeypatch):
