@@ -111,36 +111,28 @@ def accepting_amecs(product: ProductMdp) -> list[Amec]:
 
 def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
     """States from which some policy reaches the target with probability
-    one: iterated removal of states that cannot avoid drifting into
-    states with no chance of hitting the target."""
+    one (Baier & Katoen, Principles of Model Checking, 10.6.1).  Each
+    round keeps, by one backward search over `product.pred`, the states
+    of u that reach the target through actions whose successors all stay
+    in u; rounds repeat until u no longer shrinks."""
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    succ = product.model.succ
+    succ, pred = product.model.succ, product.pred
     u = set(product.states)
     while True:
-        # states that can reach the target using actions confined to u
-        v = set(target) & u
-        changed = True
-        while changed:
-            changed = False
-            for i in u - v:
-                for a in product.available(i):
-                    row = succ[(i, a)]
-                    if u.issuperset(row) and not v.isdisjoint(row):
-                        v.add(i)
-                        changed = True
-                        break
+        v = set(target & u)
+        frontier = list(v)
+        while frontier:
+            j = frontier.pop()
+            for key in pred[j]:
+                i = key[0]
+                if i not in v and i in u and u.issuperset(succ[key]):
+                    v.add(i)
+                    frontier.append(i)
         if v == u:
             return frozenset(u)
         u = v
-
-
-def retained_actions(product: ProductMdp, target, safe) -> dict[int, list[int]]:
-    """Actions whose successors stay inside the almost-sure set."""
-    succ = product.model.succ
-    return {i: [a for a in product.available(i) if safe.issuperset(succ[(i, a)])]
-            for i in safe if i not in target}
 
 
 def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
@@ -156,26 +148,25 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
         raise NotReachableAlmostSurely(
             "the initial state cannot reach this accepting component with "
             "probability 1")
-    retained = retained_actions(product, amec.states, safe)
-    succ = product.model.succ
-    # BFS layers from the component through retained actions
-    dist = {i: 0 for i in amec.states if i in safe}
-    frontier = set(dist)
+    succ, pred = product.model.succ, product.pred
+    # BFS layers from the component over the predecessors; a state takes
+    # its first available action that stays in safe and hits the frontier
+    frontier = set(amec.states)
+    reached = set(frontier)
     choice: dict[int, int] = {}
-    d = 0
     while frontier:
+        candidates = {i for j in frontier for i, _a in pred[j]
+                      if i in safe and i not in reached}
         nxt = set()
-        for i in safe:
-            if i in dist or i in amec.states:
-                continue
-            for a in retained[i]:
-                if not frontier.isdisjoint(succ[(i, a)]):
-                    dist[i] = d + 1
+        for i in candidates:
+            for a in product.available(i):
+                row = succ[(i, a)]
+                if safe.issuperset(row) and not frontier.isdisjoint(row):
                     choice[i] = a
                     nxt.add(i)
                     break
+        reached |= nxt
         frontier = nxt
-        d += 1
     # states outside the almost-sure set never occur under this policy;
     # give them any available action so the stitched policy is total
     for i in product.states:

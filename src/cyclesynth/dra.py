@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError
+from .mdp import json_index
 
 _DRA_KEYS = {"states", "ap", "start", "pairs", "trans"}
 
@@ -93,15 +94,16 @@ def from_json_dict(data: dict) -> Dra:
     missing = _DRA_KEYS - set(data)
     if missing:
         raise ParseError(f"missing keys {sorted(missing)}")
-    n = int(data["states"])
+    n = json_index(data["states"], "states", expected="a state count")
     ap = tuple(data["ap"])
     ap_set = frozenset(ap)
     pairs = []
     for k, entry in enumerate(data["pairs"]):
         if set(entry) - {"L", "K"}:
             raise ParseError(f"unknown keys in pair {k}")
-        pairs.append(RabinPair(L=frozenset(int(s) for s in entry.get("L", [])),
-                               K=frozenset(int(s) for s in entry["K"])))
+        L = [json_index(s, "state", key=f"pairs[{k}].L") for s in entry.get("L", [])]
+        K = [json_index(s, "state", key=f"pairs[{k}].K") for s in entry["K"]]
+        pairs.append(RabinPair(L=frozenset(L), K=frozenset(K)))
     delta = {}
     for state_key, row in data["trans"].items():
         try:
@@ -114,8 +116,8 @@ def from_json_dict(data: dict) -> Dra:
             if not sym <= ap_set:
                 raise ParseError(f"symbol {sym_key!r} uses undeclared propositions",
                                  key=sym_key)
-            delta[(q, sym)] = int(succ)
-    return Dra(n_states=n, ap=ap, start=int(data["start"]),
+            delta[(q, sym)] = json_index(succ, "successor", key=state_key)
+    return Dra(n_states=n, ap=ap, start=json_index(data["start"], "start"),
                pairs=tuple(pairs), delta=delta)
 
 

@@ -175,18 +175,18 @@ def from_json_dict(data: dict) -> LabeledMdp:
         raise ParseError(f"missing keys {sorted(missing)}")
     try:
         state_entries = data["states"]
-        ids = [int(s["id"]) for s in state_entries]
+        ids = [json_index(s["id"], "state id") for s in state_entries]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed states entry: {exc}") from exc
     if sorted(ids) != list(range(len(ids))):
         raise ParseError("state ids must be 0..n-1")
     n = len(ids)
     labels = [frozenset()] * n
-    for s in state_entries:
+    for i, s in zip(ids, state_entries):
         extra = set(s) - {"id", "label"}
         if extra:
-            raise ParseError(f"unknown keys {sorted(extra)} in state {s.get('id')}")
-        labels[int(s["id"])] = frozenset(_of_kind(s.get("label", []), list, "label"))
+            raise ParseError(f"unknown keys {sorted(extra)} in state {i}")
+        labels[i] = frozenset(_of_kind(s.get("label", []), list, "label"))
     actions = tuple(_of_kind(data["actions"], list, "actions"))
     act_idx = {a: k for k, a in enumerate(actions)}
     available: list[tuple[int, ...]] = [()] * n
@@ -203,10 +203,11 @@ def from_json_dict(data: dict) -> LabeledMdp:
         for entry in _of_kind(entries, list, key):
             try:
                 j, p = entry
-                j, p = int(j), float(p)
+                p = float(p)
             except (TypeError, ValueError):
                 raise ParseError("transition entries must be [state, prob] pairs",
                                  key=key) from None
+            j = json_index(j, "successor", key=key)
             if not 0 <= j < n:
                 raise ParseError(f"successor {j} out of range", key=key)
             if not math.isfinite(p):
@@ -229,10 +230,7 @@ def from_json_dict(data: dict) -> LabeledMdp:
             raise ParseError(f"cost {c!r} is not a number", key=key) from None
         if not math.isfinite(cost[(i, a)]):
             raise ParseError(f"non-finite cost {c}", key=key)
-    try:
-        init = int(data["init"])
-    except (TypeError, ValueError):
-        raise ParseError(f"init {data['init']!r} is not a state index") from None
+    init = json_index(data["init"], "init")
     props = frozenset().union(*labels) if labels else frozenset()
     mdp = LabeledMdp(
         n_states=n,
@@ -272,6 +270,16 @@ def to_json_dict(mdp: LabeledMdp) -> dict:
         "cost": {f"{i},{mdp.actions[a]}": float(c) for (i, a), c in sorted(mdp.cost.items())},
         "init": mdp.init,
     }
+
+
+def json_index(value, what: str, key=None, expected: str = "a state index") -> int:
+    """value as an int, if it is a JSON integer or a float with an
+    integral value; ParseError otherwise (booleans, strings, 1.7)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{what} {value!r} is not {expected}", key=key)
 
 
 def _of_kind(value, kind: type, key: str):

@@ -1,4 +1,9 @@
+import dataclasses
+from collections.abc import Mapping
+
 import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
 
 from conftest import (
     always_accepting_dra,
@@ -123,3 +128,183 @@ class TestReachability:
         for comp in comps:
             with pytest.raises(NotReachableAlmostSurely):
                 amec_mod.reach_policy(product, comp)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracle: the fixpoint reach set and the layer scan of the
+# whole almost-sure set, which the backward searches must agree with.
+# ---------------------------------------------------------------------------
+
+def oracle_reach_set(product, goal):
+    """Iterated removal of states that cannot avoid drifting into states
+    with no chance of hitting the goal; returns (set, outer rounds)."""
+    succ = product.model.succ
+    u = set(product.states)
+    rounds = 0
+    while True:
+        rounds += 1
+        v = set(goal) & u
+        changed = True
+        while changed:
+            changed = False
+            for i in u - v:
+                for a in product.available(i):
+                    row = succ[(i, a)]
+                    if u.issuperset(row) and not v.isdisjoint(row):
+                        v.add(i)
+                        changed = True
+                        break
+        if v == u:
+            return frozenset(u), rounds
+        u = v
+
+
+def oracle_reach_choice(product, states):
+    """Layer-by-layer scan of the whole almost-sure set; None when the
+    initial state is outside it."""
+    safe, _ = oracle_reach_set(product, states)
+    if product.init not in safe:
+        return None
+    succ = product.model.succ
+    retained = {i: [a for a in product.available(i) if safe.issuperset(succ[(i, a)])]
+                for i in safe if i not in states}
+    dist = {i: 0 for i in states if i in safe}
+    frontier = set(dist)
+    choice = {}
+    d = 0
+    while frontier:
+        nxt = set()
+        for i in safe:
+            if i in dist or i in states:
+                continue
+            for a in retained[i]:
+                if not frontier.isdisjoint(succ[(i, a)]):
+                    dist[i] = d + 1
+                    choice[i] = a
+                    nxt.add(i)
+                    break
+        frontier = nxt
+        d += 1
+    for i in product.states:
+        if i not in choice and i not in states:
+            choice[i] = product.available(i)[0]
+    return choice
+
+
+@st.composite
+def reach_problems(draw):
+    """Random pickup-delivery products and targets.  The last MDP state
+    is an absorbing trap and rows mix safe and trap-bound successors, so
+    a state's risky action can strand states several steps upstream and
+    the reach set needs several outer rounds."""
+    n = draw(st.integers(3, 10))
+    actions = ["a", "b", "c"]
+    rows = {(n - 1, "a"): [(n - 1, 1.0)]}
+    for i in range(n - 1):
+        for a in actions[:draw(st.integers(1, 3))]:
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            rows[(i, a)] = [(j, 1.0 / len(support)) for j in support]
+    labels = {0: ["pickup"]}
+    for i in draw(st.sets(st.integers(1, n - 1))):
+        labels[i] = [draw(st.sampled_from(["pickup", "dropoff"]))]
+    mdp = make_mdp(n, actions, rows, {key: 1.0 for key in rows}, labels=labels)
+    product = build_product(mdp, pickup_delivery_dra(), "pickup")
+    states = draw(st.one_of(
+        st.sampled_from([c.states for c in amec_mod.accepting_amecs(product)]
+                        or [frozenset({0})]),
+        st.frozensets(st.integers(0, product.n_states - 1), min_size=1)))
+    return product, states
+
+
+def component(states):
+    return amec_mod.Amec(states=states, actions={}, k_states=states,
+                         pi_states=frozenset(), pair_index=0)
+
+
+class TestAgainstFixpointOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(reach_problems())
+    def test_same_sets_and_choices(self, problem):
+        product, states = problem
+        expected, rounds = oracle_reach_set(product, states)
+        target(float(rounds), label="outer rounds")
+        assert amec_mod.almost_sure_reach_set(product, states) == expected
+        expected_choice = oracle_reach_choice(product, states)
+        if expected_choice is None:
+            with pytest.raises(NotReachableAlmostSurely):
+                amec_mod.reach_policy(product, component(states))
+        else:
+            assert amec_mod.reach_policy(product, component(states)).choice == expected_choice
+
+    def test_ladder_needs_several_rounds(self):
+        """State 0 may fall into the trap; odd state 2k-1 moves to the
+        goal or down to 2k-2, even state 2k down to 2k-1.  Each round
+        strands one more rung, and in the end only the goal is left."""
+        rungs = 5
+        trap, goal = 2 * rungs + 1, 2 * rungs + 2
+        rows = {(trap, "a"): [(trap, 1.0)], (goal, "a"): [(goal, 1.0)],
+                (0, "a"): [(goal, 0.5), (trap, 0.5)]}
+        for k in range(1, rungs + 1):
+            rows[(2 * k - 1, "a")] = [(2 * k - 2, 0.5), (goal, 0.5)]
+            rows[(2 * k, "a")] = [(2 * k - 1, 1.0)]
+        mdp = make_mdp(goal + 1, ["a"], rows, {key: 1.0 for key in rows},
+                       labels={goal: ["pi"]}, init=2 * rungs)
+        product = build_product(mdp, always_accepting_dra(), "pi")
+        states = frozenset({product.index_of[(goal, 0)]})
+        expected, rounds = oracle_reach_set(product, states)
+        assert rounds >= rungs
+        assert amec_mod.almost_sure_reach_set(product, states) == expected == states
+        with pytest.raises(NotReachableAlmostSurely):
+            amec_mod.reach_policy(product, component(states))
+
+
+class CountingRows(Mapping):
+    """Read-through view of a row table that counts lookups."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.rows[key]
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+class TestLinearWork:
+    """A chain toward the target: the fixpoint scans read about n^2/2
+    rows, the backward searches a bounded number per row."""
+
+    n = 400
+
+    def counted_chain(self):
+        n = self.n
+        rows = {}
+        for i in range(n):
+            rows[(i, "go")] = [(i, 0.5), (min(i + 1, n - 1), 0.5)]
+            rows[(i, "stay")] = [(i, 1.0)]
+        mdp = make_mdp(n, ["go", "stay"], rows, {key: 1.0 for key in rows},
+                       labels={n - 1: ["pi"]})
+        product = build_product(mdp, always_accepting_dra(), "pi")
+        counted = CountingRows(product.model.succ)
+        model = dataclasses.replace(product.model, succ=counted)
+        return dataclasses.replace(product, model=model), counted
+
+    def test_reach_set_reads_each_row_at_most_twice(self):
+        product, counted = self.counted_chain()
+        goal = frozenset({product.index_of[(self.n - 1, 0)]})
+        assert amec_mod.almost_sure_reach_set(product, goal) == frozenset(product.states)
+        assert counted.reads <= 2 * len(counted)
+
+    def test_reach_policy_reads_each_row_a_bounded_number_of_times(self):
+        product, counted = self.counted_chain()
+        goal = frozenset({product.index_of[(self.n - 1, 0)]})
+        policy = amec_mod.reach_policy(product, component(goal))
+        assert set(policy.choice.values()) == {product.mdp.actions.index("go")}
+        assert counted.reads <= 4 * len(counted)

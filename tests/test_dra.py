@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,35 @@ class TestJson:
         data["bogus"] = True
         with pytest.raises(ParseError, match="unknown keys"):
             dra_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("states", 2.5, "states 2.5 is not a state count"),
+        ("states", "2", "states '2' is not a state count"),
+        ("start", 0.5, "start 0.5 is not a state index"),
+        ("start", True, "start True is not a state index"),
+        ("L", 0.5, "state 0.5 is not a state index (key 'pairs[0].L')"),
+        ("K", 1.5, "state 1.5 is not a state index (key 'pairs[0].K')"),
+        ("K", "1", "state '1' is not a state index (key 'pairs[0].K')"),
+        ("delta", 1.5, "successor 1.5 is not a state index (key '0')"),
+        ("delta", None, "successor None is not a state index (key '0')"),
+    ])
+    def test_index_not_integral(self, field, value, message):
+        data = dra_mod.to_json_dict(gfg_dra())
+        if field in ("L", "K"):
+            data["pairs"][0][field] = [value]
+        elif field == "delta":
+            data["trans"]["0"]["g"] = value
+        else:
+            data[field] = value
+        with pytest.raises(ParseError, match=re.escape(message)):
+            dra_mod.from_json_dict(data)
+
+    def test_integral_floats_accepted(self):
+        data = dra_mod.to_json_dict(gfg_dra())
+        data["states"], data["start"] = 2.0, 0.0
+        data["pairs"][0]["K"] = [1.0]
+        data["trans"]["0"]["g"] = 1.0
+        assert dra_mod.from_json_dict(data) == gfg_dra()
 
     def test_undeclared_proposition_in_symbol(self):
         data = dra_mod.to_json_dict(gfg_dra())

@@ -203,12 +203,28 @@ class TestRejectedInput:
         with pytest.raises(ParseError, match=f"key '{name}'"):
             mdp_mod.from_json_dict(data)
 
-    @pytest.mark.parametrize("init", [[0], None, "start"])
+    @pytest.mark.parametrize("init", [[0], None, "start", 0.9, True, 1.5])
     def test_init_not_an_index(self, init):
         data = toy_b_json()
         data["init"] = init
         with pytest.raises(ParseError, match="not a state index"):
             mdp_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("state_id", [1.9, "x", "1", False])
+    def test_state_id_not_integral(self, state_id):
+        data = toy_b_json()
+        data["states"][1]["id"] = state_id
+        with pytest.raises(ParseError, match="state id .* is not a state index"):
+            mdp_mod.from_json_dict(data)
+
+    def test_integral_floats_accepted(self):
+        data = toy_b_json()
+        data["states"][1]["id"] = 1.0
+        data["trans"]["0,b"] = [[1.0, 1.0]]
+        data["init"] = 0.0
+        mdp = mdp_mod.from_json_dict(data)
+        assert mdp == mdp_mod.from_json_dict(toy_b_json())
+        assert type(mdp.init) is int and mdp.succ[(0, 1)] == (1,)
 
     def test_label_not_a_list(self):
         data = toy_b_json()
@@ -225,6 +241,9 @@ class TestRejectedInput:
         ("available", "1", 5),
         ("cost", "0,b", [1.0]),
         ("cost", "0,b", "cheap"),
+        ("trans", "0,b", [[1.7, 1.0]]),
+        ("trans", "0,b", [[True, 1.0]]),
+        ("trans", "0,b", [["1", 1.0]]),
     ])
     def test_entry_of_wrong_shape(self, name, key, value):
         data = toy_b_json()

@@ -4,6 +4,7 @@ from conftest import (
     always_accepting_dra,
     pickup_delivery_dra,
     pickup_delivery_mdp,
+    two_amec_mdp,
 )
 from cyclesynth import mdp as mdp_mod
 from cyclesynth.errors import AlphabetMismatch, PiUnused, UntrackedState
@@ -62,6 +63,19 @@ class TestBuildProduct:
                 expected = tuple(product.index_of[(j, q2)] for j in mdp.succ[(s, a)])
                 assert product.model.succ[(i, a)] == expected
                 assert product.model.prob[(i, a)] is mdp.prob[(s, a)]
+
+    @pytest.mark.parametrize("product", [
+        build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup"),
+        build_product(two_amec_mdp(), always_accepting_dra(), "pi"),
+    ], ids=["pickup", "two_amec"])
+    def test_predecessors_invert_rows(self, product):
+        """(i, a) is listed once in pred[j] exactly when j is a successor
+        of row (i, a)."""
+        assert len(product.pred) == product.n_states
+        for j in product.states:
+            assert len(set(product.pred[j])) == len(product.pred[j])
+            assert set(product.pred[j]) == {key for key, row in product.model.succ.items()
+                                            if j in row}
 
     def test_costs_inherited(self):
         mdp = pickup_delivery_mdp()
