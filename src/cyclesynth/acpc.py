@@ -395,41 +395,20 @@ def _initial_policy(problem: CycleProblem, k_states):
 
 
 def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
-    """Backward BFS layers toward the target set on the union digraph;
-    every state picks an action with a positive-probability edge that
-    strictly decreases the layer."""
-    n = mdp.n_states
-    dist = {t: 0 for t in targets}
-    frontier = set(targets)
-    pred: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # j -> (i, a)
-    for (i, a), succ in mdp.succ.items():
-        for j in succ:
-            pred[j].append((i, a))
-    choice = [-1] * n
-    d = 0
-    while frontier:
-        nxt = set()
-        for j in frontier:
-            for (i, a) in pred[j]:
-                if i not in dist:
-                    dist[i] = d + 1
-                    choice[i] = a
-                    nxt.add(i)
-        frontier = nxt
-        d += 1
+    """Backward BFS layers toward the target set over every row; each
+    other state takes its first action with a successor one layer
+    closer, and states no layer reaches take their first action."""
+    everywhere = frozenset(mdp.states)
+    layers = mdp.backward_layers(targets, everywhere)
+    choice = mdp.layer_choice(layers, everywhere)
+    settled = {i for layer in layers for i in layer}
     for t in targets:
         # re-enter the tree: any action works, prefer one whose support
         # includes a settled state
         acts = mdp.available[t]
-        choice[t] = acts[0]
-        for a in acts:
-            if any(j in dist for j in mdp.succ[(t, a)]):
-                choice[t] = a
-                break
-    for i in range(n):
-        if choice[i] < 0:
-            choice[i] = mdp.available[i][0]
-    return tuple(choice)
+        choice[t] = next((a for a in acts if not settled.isdisjoint(mdp.succ[(t, a)])),
+                         acts[0])
+    return tuple(choice.get(i, mdp.available[i][0]) for i in mdp.states)
 
 
 def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPolicy | None:

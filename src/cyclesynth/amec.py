@@ -111,62 +111,36 @@ def accepting_amecs(product: ProductMdp) -> list[Amec]:
 
 def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
     """States from which some policy reaches the target with probability
-    one (Baier & Katoen, Principles of Model Checking, 10.6.1).  Each
-    round keeps, by one backward search over `product.pred`, the states
-    of u that reach the target through actions whose successors all stay
-    in u; rounds repeat until u no longer shrinks."""
+    one.  Each round keeps the states of u in the attractor of the target
+    inside u (`LabeledMdp.backward_layers`); rounds repeat until u no
+    longer shrinks."""
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    succ, pred = product.model.succ, product.pred
     u = set(product.states)
     while True:
-        v = set(target & u)
-        frontier = list(v)
-        while frontier:
-            j = frontier.pop()
-            for key in pred[j]:
-                i = key[0]
-                if i not in v and i in u and u.issuperset(succ[key]):
-                    v.add(i)
-                    frontier.append(i)
-        if v == u:
+        layers = product.model.backward_layers(target, u)
+        if sum(map(len, layers)) == len(u):
             return frozenset(u)
-        u = v
+        u = {i for layer in layers for i in layer}
 
 
 def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
     """Memoryless policy reaching the component with probability one from
     every state of the almost-sure set; defined outside the component.
 
-    Prefers actions that decrease the positive-probability distance to
-    the component, which keeps transient wandering short (any correct
-    choice is acceptable: transient cost vanishes in the cycle average).
+    Each state takes its first action that stays in the almost-sure set
+    and decreases the positive-probability distance to the component,
+    which keeps transient wandering short (any correct choice is
+    acceptable: transient cost vanishes in the cycle average).
     """
     safe = almost_sure_reach_set(product, amec.states)
     if product.init not in safe:
         raise NotReachableAlmostSurely(
             "the initial state cannot reach this accepting component with "
             "probability 1")
-    succ, pred = product.model.succ, product.pred
-    # BFS layers from the component over the predecessors; a state takes
-    # its first available action that stays in safe and hits the frontier
-    frontier = set(amec.states)
-    reached = set(frontier)
-    choice: dict[int, int] = {}
-    while frontier:
-        candidates = {i for j in frontier for i, _a in pred[j]
-                      if i in safe and i not in reached}
-        nxt = set()
-        for i in candidates:
-            for a in product.available(i):
-                row = succ[(i, a)]
-                if safe.issuperset(row) and not frontier.isdisjoint(row):
-                    choice[i] = a
-                    nxt.add(i)
-                    break
-        reached |= nxt
-        frontier = nxt
+    model = product.model
+    choice = model.layer_choice(model.backward_layers(amec.states, safe), safe)
     # states outside the almost-sure set never occur under this policy;
     # give them any available action so the stitched policy is total
     for i in product.states:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError
-from .mdp import json_index
+from .mdp import _of_kind, json_index
 
 _DRA_KEYS = {"states", "ap", "start", "pairs", "trans"}
 
@@ -88,30 +88,36 @@ def _validate(dra: Dra):
 # ---------------------------------------------------------------------------
 
 def from_json_dict(data: dict) -> Dra:
-    unknown = set(data) - _DRA_KEYS
+    unknown = set(_of_kind(data, dict, None)) - _DRA_KEYS
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)}")
     missing = _DRA_KEYS - set(data)
     if missing:
         raise ParseError(f"missing keys {sorted(missing)}")
     n = json_index(data["states"], "states", expected="a state count")
-    ap = tuple(data["ap"])
+    ap = tuple(_of_kind(data["ap"], list, "ap"))
+    if not all(isinstance(a, str) for a in ap):
+        raise ParseError("propositions must be strings", key="ap")
     ap_set = frozenset(ap)
     pairs = []
-    for k, entry in enumerate(data["pairs"]):
-        if set(entry) - {"L", "K"}:
+    for k, entry in enumerate(_of_kind(data["pairs"], list, "pairs")):
+        at = f"pairs[{k}]"
+        if set(_of_kind(entry, dict, at)) - {"L", "K"}:
             raise ParseError(f"unknown keys in pair {k}")
-        L = [json_index(s, "state", key=f"pairs[{k}].L") for s in entry.get("L", [])]
-        K = [json_index(s, "state", key=f"pairs[{k}].K") for s in entry["K"]]
+        if "K" not in entry:
+            raise ParseError("missing key 'K'", key=at)
+        L = [json_index(s, "state", key=f"{at}.L")
+             for s in _of_kind(entry.get("L", []), list, f"{at}.L")]
+        K = [json_index(s, "state", key=f"{at}.K") for s in _of_kind(entry["K"], list, f"{at}.K")]
         pairs.append(RabinPair(L=frozenset(L), K=frozenset(K)))
     delta = {}
-    for state_key, row in data["trans"].items():
+    for state_key, row in _of_kind(data["trans"], dict, "trans").items():
         try:
             q = int(state_key)
         except ValueError:
             raise ParseError(f"state key {state_key!r} is not an integer",
                              key=state_key) from None
-        for sym_key, succ in row.items():
+        for sym_key, succ in _of_kind(row, dict, state_key).items():
             sym = parse_symbol_key(sym_key)
             if not sym <= ap_set:
                 raise ParseError(f"symbol {sym_key!r} uses undeclared propositions",

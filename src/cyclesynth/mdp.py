@@ -1,5 +1,5 @@
-"""Labeled MDP data model, JSON loading, validation and graph checks
-of induced chains.
+"""Labeled MDP data model, JSON loading, validation, graph checks of
+induced chains and the backward search over the rows.
 
 States are indexed 0..n-1 and actions are indexed into a global action
 alphabet; action names are only used at the I/O boundary.  All types are
@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -56,7 +57,9 @@ class LabeledMdp:
     only for available actions: succ holds the distinct successors and
     prob their positive probabilities in the same order.  The product
     and its component sub-problems are LabeledMdps too, sharing the prob
-    tuples of the MDP they come from.
+    tuples of the MDP they come from.  `pred` inverts succ for the
+    backward search that almost-sure reachability, the reach policy and
+    the initial policy of policy iteration share.
     """
 
     n_states: int
@@ -72,6 +75,54 @@ class LabeledMdp:
     @property
     def states(self) -> range:
         return range(self.n_states)
+
+    @cached_property
+    def pred(self) -> tuple[list[tuple[int, int]], ...]:
+        """pred[j] lists, once each, the rows (i, a) whose successors
+        include j.  Built whole on first use and only read afterwards
+        (threads racing on the first use each build a complete copy)."""
+        pred: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for key, row in self.succ.items():
+            for j in row:
+                pred[j].append(key)
+        return tuple(pred)
+
+    def backward_layers(self, target, within) -> list[list[int]]:
+        """Breadth-first layers of the attractor of target inside within
+        (Baier & Katoen, Principles of Model Checking, 10.6.1): layers[0]
+        is target & within, and layers[d] holds the states not in an
+        earlier layer with a row into layers[d-1] whose state and
+        successors all lie in within.  A row is read at most once per
+        successor."""
+        succ, pred = self.succ, self.pred
+        layer = [j for j in target if j in within]
+        seen = set(layer)
+        layers = []
+        while layer:
+            layers.append(layer)
+            nxt = []
+            for j in layer:
+                for key in pred[j]:
+                    i = key[0]
+                    if i not in seen and i in within and within.issuperset(succ[key]):
+                        seen.add(i)
+                        nxt.append(i)
+            layer = nxt
+        return layers
+
+    def layer_choice(self, layers, within) -> dict[int, int]:
+        """Each state of layers[d], d >= 1, takes its first available
+        action whose successors stay in within and meet layers[d-1]."""
+        succ, choice = self.succ, {}
+        for closer, layer in zip(layers, layers[1:]):
+            closer = set(closer)
+            for i in layer:
+                for a in self.available[i]:
+                    row = succ[(i, a)]
+                    if within.issuperset(row) and not closer.isdisjoint(row):
+                        choice[i] = a
+                        break
+        return choice
 
     def pi_states(self, pi: str) -> frozenset[int]:
         return frozenset(i for i in self.states if pi in self.label[i])
@@ -167,7 +218,7 @@ def is_communicating(mdp: LabeledMdp) -> bool:
 # ---------------------------------------------------------------------------
 
 def from_json_dict(data: dict) -> LabeledMdp:
-    unknown = set(data) - _MDP_KEYS
+    unknown = set(_of_kind(data, dict, None)) - _MDP_KEYS
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)}")
     missing = _MDP_KEYS - set(data)
@@ -203,15 +254,13 @@ def from_json_dict(data: dict) -> LabeledMdp:
         for entry in _of_kind(entries, list, key):
             try:
                 j, p = entry
-                p = float(p)
             except (TypeError, ValueError):
                 raise ParseError("transition entries must be [state, prob] pairs",
                                  key=key) from None
             j = json_index(j, "successor", key=key)
+            p = _json_number(p, "probability", key)
             if not 0 <= j < n:
                 raise ParseError(f"successor {j} out of range", key=key)
-            if not math.isfinite(p):
-                raise ParseError(f"non-finite probability {p}", key=key)
             row[j] = row.get(j, 0.0) + p
         support = sorted(j for j, p in row.items() if p != 0.0)
         s = 0.0
@@ -224,12 +273,7 @@ def from_json_dict(data: dict) -> LabeledMdp:
     cost = {}
     for key, c in _of_kind(data["cost"], dict, "cost").items():
         i, a = _parse_pair_key(key, n, act_idx)
-        try:
-            cost[(i, a)] = float(c)
-        except (TypeError, ValueError):
-            raise ParseError(f"cost {c!r} is not a number", key=key) from None
-        if not math.isfinite(cost[(i, a)]):
-            raise ParseError(f"non-finite cost {c}", key=key)
+        cost[(i, a)] = _json_number(c, "cost", key)
     init = json_index(data["init"], "init")
     props = frozenset().union(*labels) if labels else frozenset()
     mdp = LabeledMdp(
@@ -282,7 +326,17 @@ def json_index(value, what: str, key=None, expected: str = "a state index") -> i
     raise ParseError(f"{what} {value!r} is not {expected}", key=key)
 
 
-def _of_kind(value, kind: type, key: str):
+def _json_number(value, what: str, key: str) -> float:
+    """value as a float, if it is a finite JSON number; ParseError
+    otherwise (booleans, strings, NaN, infinities)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ParseError(f"{what} {value!r} is not a number", key=key)
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite {what} {value}", key=key)
+    return float(value)
+
+
+def _of_kind(value, kind: type, key: str | None):
     """value itself, or ParseError if it is not a JSON object (dict) or
     array (list) as kind asks."""
     if not isinstance(value, kind):

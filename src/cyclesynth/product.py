@@ -20,10 +20,7 @@ class ProductMdp:
     product's own labeled MDP: each row lists the product successors in
     the order of the MDP row's successors and shares that row's
     probabilities; only the optimizing proposition is labeled.
-    `q_next[i]` is the automaton state after reading state i's label.
-    `pred[j]` lists, once each, the rows (i, a) of `model.succ` whose
-    successors include j, for backward searches over the product; it is
-    built here and only read afterwards, also by worker threads."""
+    `q_next[i]` is the automaton state after reading state i's label."""
 
     mdp: LabeledMdp
     dra: Dra
@@ -36,7 +33,6 @@ class ProductMdp:
     pi_states: frozenset[int]
     model: LabeledMdp
     q_next: tuple[int, ...]
-    pred: tuple[list[tuple[int, int]], ...]
 
     @property
     def states(self) -> range:
@@ -70,7 +66,6 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
     index_of = {start: 0}
     pairs_of = [start]
     q_next = []
-    pred = [[]]
     succ, prob, cost = {}, {}, {}
     i = 0
     while i < len(pairs_of):  # breadth first: pairs_of is the queue
@@ -81,12 +76,9 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
             if (j, q2) not in index_of:
                 index_of[(j, q2)] = len(pairs_of)
                 pairs_of.append((j, q2))
-                pred.append([])
         for a in mdp.available[s]:
             key = (i, a)
-            succ[key] = row = tuple(index_of[(j, q2)] for j in mdp.succ[(s, a)])
-            for j in row:
-                pred[j].append(key)
+            succ[key] = tuple(index_of[(j, q2)] for j in mdp.succ[(s, a)])
             prob[key] = mdp.prob[(s, a)]
             cost[key] = mdp.cost[(s, a)]
         i += 1
@@ -121,7 +113,6 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         pi_states=pi_states,
         model=model,
         q_next=tuple(q_next),
-        pred=tuple(pred),
     )
 
 

@@ -5,6 +5,7 @@ stitched policy attaining the minimum gain over reachable components.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass
 from random import Random
 
@@ -88,14 +89,14 @@ def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
 
 def _solve_component(product: ProductMdp, idx: int, component, retries: int, tol: float):
     """Per-cycle solve inside one reachable component.  Returns
-    (solution, reach policy, interior choices on product states) or a
-    skip reason string."""
+    (solution, reach policy, interior choices on product states) or the
+    skip record of diagnostics["skipped"]."""
     try:
         reach = amec_mod.reach_policy(product, component)
     except NotReachableAlmostSurely:
-        return "not reachable almost surely"
+        return {"amec": idx, "reason": "not reachable almost surely"}
     if not component.pi_states:
-        return "no cycle states inside"
+        return {"amec": idx, "reason": "no cycle states inside"}
     problem, k_local, local, ordered = amec_cycle_problem(product, component)
     result = acpc.policy_iteration(problem, k_local, tol=tol)
     rng = Random(idx)
@@ -143,42 +144,36 @@ def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
     if not components:
         raise NoReachableAmec("the product has no accepting maximal end component")
 
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                lambda item: _solve_component(product, item[0], item[1], retries, tol),
-                enumerate(components)))
-    else:
-        outcomes = [_solve_component(product, idx, c, retries, tol)
-                    for idx, c in enumerate(components)]
-
+    # fold the outcomes as they arrive, keeping the reach policy (a
+    # choice per product state) of the least (lambda, index) only
     solutions: list[AmecSolution] = []
-    reach_policies: dict[int, StationaryPolicy] = {}
-    interiors: dict[int, dict[int, int]] = {}
-    for idx, outcome in enumerate(outcomes):
-        if isinstance(outcome, str):
-            diagnostics["skipped"].append({"amec": idx, "reason": outcome})
-            continue
-        solution, reach, interior = outcome
-        solutions.append(solution)
-        reach_policies[idx] = reach
-        interiors[idx] = interior
-
-    if not solutions:
+    best = None
+    with ExitStack() as stack:
+        mapper = map
+        if jobs > 1:  # importing concurrent.futures adds about 0.5 MB of peak RSS
+            from concurrent.futures import ThreadPoolExecutor
+            mapper = stack.enter_context(ThreadPoolExecutor(max_workers=jobs)).map
+        for outcome in mapper(lambda item: _solve_component(product, *item, retries, tol),
+                              enumerate(components)):
+            if isinstance(outcome, dict):
+                diagnostics["skipped"].append(outcome)
+                continue
+            solutions.append(outcome[0])
+            if best is None or outcome[0].lam < best[0].lam:
+                best = outcome
+            del outcome  # a losing reach policy is freed before the next solve
+    if best is None:
         raise NoReachableAmec(
             "no reachable accepting maximal end component admits finite "
             "per-cycle cost")
 
-    winner = min(solutions, key=lambda sol: (sol.lam, sol.amec_index))
-    stitched = dict(reach_policies[winner.amec_index].choice)
-    stitched.update(interiors[winner.amec_index])
+    winner, reach, interior = best
     diagnostics["iterations"] = {str(s.amec_index): s.iterations for s in solutions}
     return SynthesisResult(
         product=product,
         winning_amec_index=winner.amec_index,
         lambda_per_amec=tuple(solutions),
-        stitched_policy=StationaryPolicy(stitched),
+        stitched_policy=StationaryPolicy({**reach.choice, **interior}),
         optimal_cost=winner.lam,
         optimal=all(s.status is PolicyIterationStatus.OPTIMAL for s in solutions),
         diagnostics=diagnostics,

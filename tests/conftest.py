@@ -202,6 +202,23 @@ def two_amec_mdp() -> LabeledMdp:
                     labels={1: ["pi"], 3: ["pi"]}, init=0)
 
 
+def rooms_mdp(n_rooms: int) -> LabeledMdp:
+    """Chain of two-state rooms 2r, 2r+1: "go" swaps the two states at
+    cost n_rooms - r, and "exit" at 2r+1 moves one way into the next
+    room.  Each room is its own end component, every room is reached
+    with probability 1, and the last room has the cheapest cycle."""
+    rows, costs = {}, {}
+    for r in range(n_rooms):
+        a, b = 2 * r, 2 * r + 1
+        rows[(a, "go")], rows[(b, "go")] = [(b, 1.0)], [(a, 1.0)]
+        costs[(a, "go")] = costs[(b, "go")] = float(n_rooms - r)
+        if r + 1 < n_rooms:
+            rows[(b, "exit")] = [(b + 1, 1.0)]
+            costs[(b, "exit")] = 1.0
+    return make_mdp(2 * n_rooms, ["go", "exit"], rows, costs,
+                    labels={2 * r: ["pi"] for r in range(n_rooms)})
+
+
 def random_cycle_problem(seed, n_max=6, max_actions=3):
     """Seeded random communicating cycle problem with a K set.
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     all_policies,
@@ -285,6 +287,61 @@ class TestPolicyIteration:
         assert choices
         assert len(choices) == len(set(choices))
         assert len(chains) == len(choices)
+
+
+@st.composite
+def tree_problems(draw):
+    """Random MDPs (not necessarily communicating, so some states may
+    reach no target) with a nonempty target set."""
+    n = draw(st.integers(1, 8))
+    actions = ["a", "b", "c"]
+    rows = {}
+    for i in range(n):
+        for a in draw(st.lists(st.sampled_from(actions), min_size=1, max_size=3,
+                               unique=True)):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            rows[(i, a)] = [(j, 1.0 / len(support)) for j in support]
+    mdp = make_mdp(n, actions, rows, {key: 1.0 for key in rows})
+    targets = draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+    return mdp, targets
+
+
+def tree_distances(mdp, targets):
+    """Positive-probability distance to the targets over every row, by
+    relaxing one layer at a time over the whole row table."""
+    dist = dict.fromkeys(targets, 0)
+    d = 0
+    while True:
+        layer = {i for (i, _a), row in mdp.succ.items()
+                 if i not in dist and any(dist.get(j) == d for j in row)}
+        if not layer:
+            return dist
+        d += 1
+        dist.update(dict.fromkeys(layer, d))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_problems())
+def test_tree_policy_takes_first_closer_action(problem):
+    """A state at distance d takes its first available action with a
+    successor at distance d - 1; a target its first action whose support
+    meets a state with a distance (else its first action); a state with
+    no distance its first action."""
+    mdp, targets = problem
+    choice = acpc._tree_policy(mdp, targets)
+    dist = tree_distances(mdp, targets)
+    for i in mdp.states:
+        acts = mdp.available[i]
+        if i in targets:
+            settled = [a for a in acts if any(j in dist for j in mdp.succ[(i, a)])]
+            expected = (settled or acts)[0]
+        elif i in dist:
+            expected = next(a for a in acts
+                            if any(dist.get(j) == dist[i] - 1 for j in mdp.succ[(i, a)]))
+        else:
+            expected = acts[0]
+        assert choice[i] == expected, i
 
 
 class TestBruteForce:

@@ -72,6 +72,16 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "error: expected an object, got list (key 'trans')" in capsys.readouterr().err
 
+    def test_malformed_dra_exit_one(self, tmp_path, capsys):
+        dra = json.loads(Path(PD_DRA).read_text())
+        del dra["pairs"][0]["K"]
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(dra))
+        code = main(["synthesize", "--mdp", PD_MDP, "--dra", str(path),
+                     "--pi", "pickup"])
+        assert code == 1
+        assert "error: missing key 'K' (key 'pairs[0]')" in capsys.readouterr().err
+
     def test_tolerance_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CYCLESYNTH_TOL", "1e-6")
         assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,

@@ -122,6 +122,29 @@ class TestJson:
         data["trans"]["0"]["g"] = 1.0
         assert dra_mod.from_json_dict(data) == gfg_dra()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("ap", "g", "expected an array, got str (key 'ap')"),
+        ("ap", ["g", 5], "propositions must be strings (key 'ap')"),
+        ("pairs", {"K": [1]}, "expected an array, got dict (key 'pairs')"),
+        ("pairs", [[1]], "expected an object, got list (key 'pairs[0]')"),
+        ("pairs", [{"L": [0]}], "missing key 'K' (key 'pairs[0]')"),
+        ("pairs", [{"K": 1}], "expected an array, got int (key 'pairs[0].K')"),
+        ("pairs", [{"K": [1], "L": 0}], "expected an array, got int (key 'pairs[0].L')"),
+        ("trans", [], "expected an object, got list (key 'trans')"),
+        ("trans", {"0": [0, 1], "1": {"": 0, "g": 1}},
+         "expected an object, got list (key '0')"),
+    ])
+    def test_container_of_wrong_shape(self, field, value, message):
+        data = dra_mod.to_json_dict(gfg_dra())
+        data[field] = value
+        with pytest.raises(ParseError, match=re.escape(message)):
+            dra_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("data", [5, None, [], "states"])
+    def test_document_not_an_object(self, data):
+        with pytest.raises(ParseError, match="^expected an object, got "):
+            dra_mod.from_json_dict(data)
+
     def test_undeclared_proposition_in_symbol(self):
         data = dra_mod.to_json_dict(gfg_dra())
         data["trans"]["0"]["zz"] = 0

@@ -1,14 +1,19 @@
-"""Source hygiene checks that need no linter: every import is used, and
-every private module-level function in src/ is referenced from src/."""
+"""Source hygiene checks that need no linter: every import is used,
+every private module-level function in src/ is referenced from src/,
+and every public module-level function or class in src/ is exported or
+referenced from src/, tests/ or bench/."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+import cyclesynth
+
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((REPO / "src").rglob("*.py"))
 SOURCES = sorted([*PACKAGE, *(REPO / "tests").rglob("*.py")])
+READERS = sorted([*SOURCES, *(REPO / "bench").rglob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -75,3 +80,42 @@ def test_detects_unreferenced_private_function():
 def test_no_unreferenced_private_functions():
     sources = {str(p.relative_to(REPO)): p.read_text() for p in PACKAGE}
     assert unreferenced_private_functions(sources) == []
+
+
+def unused_public_names(package: dict[str, str], readers: dict[str, str],
+                        exported) -> list[str]:
+    """Public module-level functions and classes of `package` (name ->
+    text) that are not in `exported` and that no code in `readers` reads,
+    by name, as an attribute or as a string (a getattr by name), outside
+    the definition itself."""
+    read: dict[str, set] = {}
+    for name, source in readers.items():
+        for stmt in ast.parse(source).body:
+            owner = (name, getattr(stmt, "name", None))
+            for node in ast.walk(stmt):
+                ident = (node.id if isinstance(node, ast.Name)
+                         else node.attr if isinstance(node, ast.Attribute)
+                         else node.value if isinstance(node, ast.Constant) else None)
+                if isinstance(ident, str):
+                    read.setdefault(ident, set()).add(owner)
+    return [f"{name}: {stmt.name}" for name, source in package.items()
+            for stmt in ast.parse(source).body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_") and stmt.name not in exported
+            and not read.get(stmt.name, set()) - {(name, stmt.name)}]
+
+
+def test_detects_unused_public_name():
+    package = {"a.py": "def used():\n    pass\n\ndef dead():\n    dead()\n\n"
+                       "class Gone:\n    def again(self):\n        return Gone()\n\n"
+                       "def shown():\n    pass\n\ndef named():\n    pass\n",
+               "b.py": "import a\n\ndef public():\n    a.used()\n"}
+    readers = {**package, "t.py": "getattr(a, 'named')\n"}
+    assert unused_public_names(package, readers, {"shown"}) == [
+        "a.py: dead", "a.py: Gone", "b.py: public"]
+
+
+def test_no_unused_public_names():
+    package = {str(p.relative_to(REPO)): p.read_text() for p in PACKAGE}
+    readers = {str(p.relative_to(REPO)): p.read_text() for p in READERS}
+    assert unused_public_names(package, readers, cyclesynth.__all__) == []

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestModel:
     def test_pi_states(self, toy_b):
         assert toy_b.pi_states("pi") == frozenset({0})
         assert toy_b.pi_states("other") == frozenset()
+
+    def test_predecessor_list_stored_only_when_whole(self, toy_b):
+        """Worker threads may ask for pred at the same time: the list is
+        stored on the model only after every row has been entered, so a
+        reader either builds its own or reads a complete one."""
+
+        class WatchedRows(dict):
+            def items(self):
+                for item in super().items():
+                    assert "pred" not in model.__dict__
+                    yield item
+
+        model = dataclasses.replace(toy_b, succ=WatchedRows(toy_b.succ))
+        assert model.pred is model.pred
+        assert model.pred == ([(0, 0), (1, 0)], [(0, 1)])
 
 
 class TestChainAnalysis:
@@ -203,6 +219,11 @@ class TestRejectedInput:
         with pytest.raises(ParseError, match=f"key '{name}'"):
             mdp_mod.from_json_dict(data)
 
+    @pytest.mark.parametrize("data", [5, None, [], "states"])
+    def test_document_not_an_object(self, data):
+        with pytest.raises(ParseError, match="^expected an object, got "):
+            mdp_mod.from_json_dict(data)
+
     @pytest.mark.parametrize("init", [[0], None, "start", 0.9, True, 1.5])
     def test_init_not_an_index(self, init):
         data = toy_b_json()
@@ -215,6 +236,20 @@ class TestRejectedInput:
         data = toy_b_json()
         data["states"][1]["id"] = state_id
         with pytest.raises(ParseError, match="state id .* is not a state index"):
+            mdp_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("trans", [[1, "1.0"]], "probability '1.0' is not a number"),
+        ("trans", [[1, True]], "probability True is not a number"),
+        ("trans", [[0, 0.5], [1, False]], "probability False is not a number"),
+        ("cost", "2", "cost '2' is not a number"),
+        ("cost", True, "cost True is not a number"),
+    ])
+    def test_number_not_a_json_number(self, name, value, message):
+        """Strings and booleans never load as probabilities or costs."""
+        data = toy_b_json()
+        data[name]["0,b"] = value
+        with pytest.raises(ParseError, match=re.escape(f"{message} (key '0,b')")):
             mdp_mod.from_json_dict(data)
 
     def test_integral_floats_accepted(self):

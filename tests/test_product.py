@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -6,10 +8,21 @@ from conftest import (
     pickup_delivery_mdp,
     two_amec_mdp,
 )
-from cyclesynth import mdp as mdp_mod
+from cyclesynth import amec as amec_mod, mdp as mdp_mod
 from cyclesynth.errors import AlphabetMismatch, PiUnused, UntrackedState
 from cyclesynth.mdp import StationaryPolicy
 from cyclesynth.product import build_product, project_policy
+from cyclesynth.synth import amec_cycle_problem
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def pickup_component():
+    """The cycle problem of the pickup-delivery product's one accepting
+    component."""
+    product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+    problem, *_ = amec_cycle_problem(product, amec_mod.accepting_amecs(product)[0])
+    return problem
 
 
 class TestBuildProduct:
@@ -64,18 +77,19 @@ class TestBuildProduct:
                 assert product.model.succ[(i, a)] == expected
                 assert product.model.prob[(i, a)] is mdp.prob[(s, a)]
 
-    @pytest.mark.parametrize("product", [
-        build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup"),
-        build_product(two_amec_mdp(), always_accepting_dra(), "pi"),
-    ], ids=["pickup", "two_amec"])
-    def test_predecessors_invert_rows(self, product):
+    @pytest.mark.parametrize("model", [
+        build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup").model,
+        build_product(two_amec_mdp(), always_accepting_dra(), "pi").model,
+        mdp_mod.load(FIXTURES / "pickup_delivery_mdp.json"),
+        pickup_component().mdp,
+    ], ids=["pickup", "two_amec", "loaded", "component"])
+    def test_predecessors_invert_rows(self, model):
         """(i, a) is listed once in pred[j] exactly when j is a successor
-        of row (i, a)."""
-        assert len(product.pred) == product.n_states
-        for j in product.states:
-            assert len(set(product.pred[j])) == len(product.pred[j])
-            assert set(product.pred[j]) == {key for key, row in product.model.succ.items()
-                                            if j in row}
+        of row (i, a), for the product, a loaded MDP and a component."""
+        assert len(model.pred) == model.n_states
+        for j in model.states:
+            assert len(set(model.pred[j])) == len(model.pred[j])
+            assert set(model.pred[j]) == {key for key, row in model.succ.items() if j in row}
 
     def test_costs_inherited(self):
         mdp = pickup_delivery_mdp()

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from conftest import (
     pickup_delivery_dra,
     pickup_delivery_mdp,
     ring_mdp,
+    rooms_mdp,
     two_amec_mdp,
 )
 from cyclesynth import acpc, sim
@@ -130,6 +133,29 @@ class TestSynthesize:
         assert seq.optimal_cost == par.optimal_cost
         assert seq.stitched_policy.choice == par.stitched_policy.choice
 
+    def test_threads_build_the_predecessor_list_whole(self):
+        """Worker threads race on the first use of the product's
+        predecessor list, whose build takes milliseconds behind a long
+        corridor; with threads switching every few bytecodes they must
+        still give the sequential answer."""
+        corridor, rooms = 5000, rooms_mdp(8)
+        rows = {(k, "go"): [(k + 1, 1.0)] for k in range(corridor)}
+        for (i, a), row in rooms.succ.items():
+            rows[(corridor + i, rooms.actions[a])] = [(corridor + j, 1.0) for j in row]
+        costs = {key: 1.0 + key[0] % 3 for key in rows}
+        mdp = make_mdp(corridor + rooms.n_states, rooms.actions, rows, costs,
+                       labels={corridor + i: ["pi"] for i in rooms.pi_states("pi")})
+        seq = synthesize(mdp, always_accepting_dra(), "pi")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            par = synthesize(mdp, always_accepting_dra(), "pi", jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seq.lambda_per_amec) == 8
+        assert par.diagnostics == seq.diagnostics
+        assert par.stitched_policy.choice == seq.stitched_policy.choice
+
     def test_no_reachable_amec(self):
         # every run is eventually trapped: pickup twice in a row is forced
         forced = make_mdp(
@@ -177,6 +203,29 @@ class TestSynthesize:
         assert d["amecSizes"] == [12]
         assert d["skipped"] == []
 
+    def test_only_the_best_reach_policy_kept(self, monkeypatch):
+        """Components are folded as they are solved: when a component's
+        policy iteration starts, only its own reach policy and the best
+        one so far are alive."""
+        made, alive = [], []
+        reach_policy, policy_iteration = amec_mod.reach_policy, acpc.policy_iteration
+
+        def tracked_reach(product, component):
+            policy = reach_policy(product, component)
+            made.append(weakref.ref(policy))
+            return policy
+
+        def counting_iteration(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in made))
+            return policy_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(amec_mod, "reach_policy", tracked_reach)
+        monkeypatch.setattr(acpc, "policy_iteration", counting_iteration)
+        result = synthesize(rooms_mdp(5), always_accepting_dra(), "pi")
+        assert result.winning_amec_index == 4 and len(result.lambda_per_amec) == 5
+        assert len(alive) == 5 and max(alive) <= 2
+
 
 class TestSuccessorTable:
     def test_automaton_stepped_once_per_product_state(self, monkeypatch):
@@ -211,6 +260,7 @@ class TestSuccessorTable:
         assert len(result.lambda_per_amec) == 2
         assert sorted(calls, key=sorted) == sorted(
             (sol.states for sol in result.lambda_per_amec), key=sorted)
+
 
 
 def test_synthesize_does_not_import_scipy(tmp_path):
