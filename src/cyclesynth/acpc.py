@@ -102,17 +102,17 @@ def split_kernel(problem: CycleProblem, mu: StationaryPolicy) -> SplitKernel:
 
 
 def _first_return(problem: CycleProblem, mu: StationaryPolicy):
-    """One LU solve of (I - R) X = [P[:, pi], g], where R is P_mu with the
-    cycle-set columns zeroed.  Returns (P, R, g, pi, X): X[:, :-1] is the
-    first-return kernel on its cycle-set columns pi, X[:, -1] the cycle
-    cost."""
+    """One LU solve of (I - R) X = [P_pi, g], where P_pi = P_mu[:, pi] and
+    R is P_mu with the cycle-set columns pi zeroed in place, so P_mu is
+    never held twice.  Returns (R, P_pi, g, pi, X): X[:, :-1] is the
+    first-return kernel on the columns pi, X[:, -1] the cycle cost."""
     _require_proper(problem, mu)
-    P, g = problem.mdp.policy_matrices(mu)
+    R, g = problem.mdp.policy_matrices(mu)
     pi = np.flatnonzero(problem.pi_mask())
-    R = P.copy()
+    P_pi = R[:, pi]  # advanced indexing copies
     R[:, pi] = 0.0
-    X = numerics.transient_inverse(R, np.column_stack([P[:, pi], g]))
-    return P, R, g, pi, X
+    X = numerics.transient_inverse(R, np.column_stack([P_pi, g]))
+    return R, P_pi, g, pi, X
 
 
 def first_return_kernel(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarray:
@@ -141,9 +141,10 @@ def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
     state's values follow from its first entry into the cycle set:
     J = P~ J_p, h = g~ - J + P~ h_p, v = -h + P~ v_p.  The result must
     satisfy the three per-cycle defining equations against P_mu within
-    tol * max(1, |J|_inf); NumericalFailure otherwise.
+    tol * max(1, |J|_inf); NumericalFailure otherwise.  P_mu x is formed
+    as R x + P_pi x[pi].
     """
-    P, R, g, pi, X = _first_return(problem, mu)
+    R, P_pi, g, pi, X = _first_return(problem, mu)
     tilde_P, tilde_g = X[:, :-1], X[:, -1]
     P_pp = tilde_P[pi]
     star = numerics.cesaro_limit(P_pp)
@@ -155,9 +156,12 @@ def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
     h = tilde_g - J + tilde_P @ h_p
     v = -h + tilde_P @ v_p
 
-    residual = max(float(np.max(np.abs(P @ J - J))),
-                   float(np.max(np.abs(J + h - g - R @ J - P @ h))),
-                   float(np.max(np.abs(h + v - R @ h - P @ v))))
+    def P(x):
+        return R @ x + P_pi @ x[pi]
+
+    residual = max(float(np.max(np.abs(P(J) - J))),
+                   float(np.max(np.abs(J + h - g - R @ J - P(h)))),
+                   float(np.max(np.abs(h + v - R @ h - P(v)))))
     if residual > _gain_scaled(tol, J):
         raise NumericalFailure(
             f"per-cycle defining equations fail with residual {residual:.3e}")

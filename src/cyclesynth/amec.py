@@ -33,25 +33,30 @@ def maximal_end_components(product: ProductMdp, restrict=None):
     restrict optionally limits the state set considered (used by the
     accepting filter to excise L states).
     """
-    succ = product.model.succ
+    succ, pred = product.model.succ, product.model.pred
     alive = set(product.states if restrict is None else restrict)
     actions = {i: [a for a in product.available(i)] for i in alive}
 
     def prune(states):
-        """Drop actions escaping `states`, then action-less states, to a
-        fixpoint; returns the surviving state set."""
+        """Drop actions escaping `states`, then action-less states; each
+        removed state j then drops the kept rows in pred[j] (the worklist
+        form of the decomposition, Baier & Katoen 2008, 10.6), so a row is
+        read once by the pass and once per removed successor.  Returns the
+        surviving state set."""
         states = set(states)
-        changed = True
-        while changed:
-            changed = False
-            for i in list(states):
-                kept = [a for a in actions[i] if states.issuperset(succ[(i, a)])]
-                if kept != actions[i]:
-                    actions[i] = kept
-                    changed = True
-                if not kept:
-                    states.discard(i)
-                    changed = True
+        removed = []
+        for i in states:
+            actions[i] = [a for a in actions[i] if states.issuperset(succ[(i, a)])]
+            if not actions[i]:
+                removed.append(i)
+        states.difference_update(removed)
+        while removed:
+            for i, a in pred[removed.pop()]:
+                if i in states and a in actions[i]:
+                    actions[i].remove(a)
+                    if not actions[i]:
+                        states.discard(i)
+                        removed.append(i)
         return states
 
     components = []

@@ -59,7 +59,8 @@ class LabeledMdp:
     and its component sub-problems are LabeledMdps too, sharing the prob
     tuples of the MDP they come from.  `pred` inverts succ for the
     backward search that almost-sure reachability, the reach policy and
-    the initial policy of policy iteration share.
+    the initial policy of policy iteration share, and for the pruning of
+    the maximal end component decomposition.
     """
 
     n_states: int
@@ -328,12 +329,17 @@ def json_index(value, what: str, key=None, expected: str = "a state index") -> i
 
 def _json_number(value, what: str, key: str) -> float:
     """value as a float, if it is a finite JSON number; ParseError
-    otherwise (booleans, strings, NaN, infinities)."""
+    otherwise (booleans, strings, NaN, infinities, integers beyond the
+    float range)."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ParseError(f"{what} {value!r} is not a number", key=key)
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ParseError(f"{what} beyond the float range", key=key) from None
+    if not math.isfinite(number):
         raise ParseError(f"non-finite {what} {value}", key=key)
-    return float(value)
+    return number
 
 
 def _of_kind(value, kind: type, key: str | None):

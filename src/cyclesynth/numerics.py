@@ -204,8 +204,10 @@ def transient_inverse(Q, rhs=None) -> np.ndarray:
     Q = np.asarray(Q, dtype=float)
     n = Q.shape[0]
     rhs = np.eye(n) if rhs is None else np.asarray(rhs, dtype=float)
+    A = -Q  # I - Q without a second n x n temporary
+    A.flat[::n + 1] += 1.0
     try:
-        x = np.linalg.solve(np.eye(n) - Q, rhs)
+        x = np.linalg.solve(A, rhs)
     except np.linalg.LinAlgError as exc:
         raise NotTransient(f"I - Q is singular: {exc}") from exc
     if np.min(rhs, initial=0.0) >= 0.0 and np.min(x, initial=0.0) < -1e-10:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,26 @@ class TestEvaluate:
         monkeypatch.setattr(numerics, "transient_inverse", perturbed)
         with pytest.raises(NumericalFailure, match="defining equations"):
             acpc.acpc_evaluate(prob, mu)
+
+
+    def test_dense_peak_two_matrices(self):
+        """One evaluation holds at most two n x n arrays at a time: R (P_mu
+        with the cycle-set columns zeroed) and I - R for the LU, with P_mu
+        itself never kept beside R."""
+        prod = product.build_product(ring_mdp(600), pickup_delivery_dra(), "pickup")
+        component = max(amec.accepting_amecs(prod), key=lambda c: len(c.states))
+        prob, k_local, _, _ = synth.amec_cycle_problem(prod, component)
+        n = prob.mdp.n_states
+        assert n == 602
+        choice, _ = acpc._initial_policy(prob, k_local)
+        mu = StationaryPolicy(dict(enumerate(choice)))
+        tracemalloc.start()
+        try:
+            acpc.acpc_evaluate(prob, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
 
 
 class TestOptimalityCheck:

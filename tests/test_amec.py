@@ -1,5 +1,6 @@
 import dataclasses
 from collections.abc import Mapping
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, target
@@ -10,9 +11,10 @@ from conftest import (
     make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
+    ring_mdp,
     two_amec_mdp,
 )
-from cyclesynth import amec as amec_mod
+from cyclesynth import amec as amec_mod, numerics
 from cyclesynth.errors import NotReachableAlmostSurely
 from cyclesynth.product import build_product
 
@@ -192,11 +194,12 @@ def oracle_reach_choice(product, states):
 
 
 @st.composite
-def reach_problems(draw):
-    """Random pickup-delivery products and targets.  The last MDP state
-    is an absorbing trap and rows mix safe and trap-bound successors, so
-    a state's risky action can strand states several steps upstream and
-    the reach set needs several outer rounds."""
+def pd_products(draw):
+    """Random pickup-delivery products.  The last MDP state is an
+    absorbing trap and rows mix safe and trap-bound successors, so a
+    state's risky action can strand states several steps upstream: the
+    reach set needs several outer rounds and MEC pruning several
+    removals in a row."""
     n = draw(st.integers(3, 10))
     actions = ["a", "b", "c"]
     rows = {(n - 1, "a"): [(n - 1, 1.0)]}
@@ -209,7 +212,13 @@ def reach_problems(draw):
     for i in draw(st.sets(st.integers(1, n - 1))):
         labels[i] = [draw(st.sampled_from(["pickup", "dropoff"]))]
     mdp = make_mdp(n, actions, rows, {key: 1.0 for key in rows}, labels=labels)
-    product = build_product(mdp, pickup_delivery_dra(), "pickup")
+    return build_product(mdp, pickup_delivery_dra(), "pickup")
+
+
+@st.composite
+def reach_problems(draw):
+    """Random pickup-delivery products and targets."""
+    product = draw(pd_products())
     states = draw(st.one_of(
         st.sampled_from([c.states for c in amec_mod.accepting_amecs(product)]
                         or [frozenset({0})]),
@@ -259,6 +268,90 @@ class TestAgainstFixpointOracle:
             amec_mod.reach_policy(product, component(states))
 
 
+# ---------------------------------------------------------------------------
+# Differential oracle: the rescanning MEC decomposition, which the
+# predecessor worklist must agree with.
+# ---------------------------------------------------------------------------
+
+def oracle_mecs(product, restrict=None):
+    """Iterative SCC refinement whose pruning rescans the whole block
+    until nothing changes."""
+    succ = product.model.succ
+    alive = set(product.states if restrict is None else restrict)
+    actions = {i: [a for a in product.available(i)] for i in alive}
+
+    def prune(states):
+        states = set(states)
+        changed = True
+        while changed:
+            changed = False
+            for i in list(states):
+                kept = [a for a in actions[i] if states.issuperset(succ[(i, a)])]
+                if kept != actions[i]:
+                    actions[i] = kept
+                    changed = True
+                if not kept:
+                    states.discard(i)
+                    changed = True
+        return states
+
+    components = []
+    work = [prune(alive)]
+    while work:
+        block = work.pop()
+        if not block:
+            continue
+        nodes = sorted(block)
+        pos = {i: k for k, i in enumerate(nodes)}
+        edges = [sorted({pos[j] for a in actions[i] for j in succ[(i, a)]})
+                 for i in nodes]
+        comp = numerics._tarjan_scc(len(nodes), edges)
+        n_comp = max(comp) + 1 if nodes else 0
+        if n_comp <= 1:
+            if nodes:
+                components.append(block)
+            continue
+        groups = [set() for _ in range(n_comp)]
+        for k, i in enumerate(nodes):
+            groups[comp[k]].add(i)
+        for grp in groups:
+            work.append(prune(grp))
+    out = []
+    for block in components:
+        act_map = {i: tuple(sorted(actions[i])) for i in sorted(block)}
+        if all(act_map[i] for i in block):
+            out.append((frozenset(block), act_map))
+    out.sort(key=lambda item: sorted(item[0]))
+    return out
+
+
+@st.composite
+def mec_problems(draw):
+    """Random pickup-delivery products, with or without a restriction."""
+    product = draw(pd_products())
+    restrict = draw(st.one_of(
+        st.none(), st.frozensets(st.integers(0, product.n_states - 1))))
+    return product, restrict
+
+
+class TestAgainstRescanOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(mec_problems())
+    def test_same_components_and_actions(self, problem):
+        product, restrict = problem
+        expected = oracle_mecs(product, restrict)
+        target(float(sum(len(s) for s, _ in expected)), label="component states")
+        assert amec_mod.maximal_end_components(product, restrict) == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(pd_products())
+    def test_same_accepting_components(self, product):
+        found = amec_mod.accepting_amecs(product)
+        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mecs):
+            expected = amec_mod.accepting_amecs(product)
+        assert found == expected
+
+
 class CountingRows(Mapping):
     """Read-through view of a row table that counts lookups."""
 
@@ -295,6 +388,19 @@ class TestLinearWork:
         counted = CountingRows(product.model.succ)
         model = dataclasses.replace(product.model, succ=counted)
         return dataclasses.replace(product, model=model), counted
+
+    def test_mec_decomposition_reads_each_row_a_bounded_number_of_times(self):
+        """Without the trap state, pruning the ring of 400 states strands
+        one state at a time: the rescan read 101 x rows, the worklist
+        reads each row once to build pred and about once more."""
+        product = build_product(ring_mdp(400), pickup_delivery_dra(), "pickup")
+        counted = CountingRows(product.model.succ)
+        model = dataclasses.replace(product.model, succ=counted)
+        found = amec_mod.accepting_amecs(dataclasses.replace(product, model=model))
+        assert (product.n_states, len(counted)) == (1002, 1668)
+        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mecs):
+            assert found == amec_mod.accepting_amecs(product)
+        assert counted.reads <= 4 * len(counted)
 
     def test_reach_set_reads_each_row_at_most_twice(self):
         product, counted = self.counted_chain()

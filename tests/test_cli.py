@@ -72,6 +72,17 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "error: expected an object, got list (key 'trans')" in capsys.readouterr().err
 
+    def test_cost_beyond_float_range_exit_one(self, tmp_path, capsys):
+        mdp = json.loads(Path(PD_MDP).read_text())
+        key = next(iter(mdp["cost"]))
+        mdp["cost"][key] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(mdp))
+        code = main(["synthesize", "--mdp", str(path), "--dra", PD_DRA,
+                     "--pi", "pickup"])
+        assert code == 1
+        assert f"error: cost beyond the float range (key '{key}')" in capsys.readouterr().err
+
     def test_malformed_dra_exit_one(self, tmp_path, capsys):
         dra = json.loads(Path(PD_DRA).read_text())
         del dra["pairs"][0]["K"]

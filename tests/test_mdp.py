@@ -252,6 +252,20 @@ class TestRejectedInput:
         with pytest.raises(ParseError, match=re.escape(f"{message} (key '0,b')")):
             mdp_mod.from_json_dict(data)
 
+    @pytest.mark.parametrize("name, value, what", [
+        ("trans", [[1, 10 ** 400]], "probability"),
+        ("cost", 10 ** 400, "cost"),
+    ], ids=["probability", "cost"])
+    def test_integer_beyond_float_range(self, tmp_path, name, value, what):
+        """A JSON integer too large for a float is a parse error, not an
+        OverflowError from the conversion."""
+        data = toy_b_json()
+        data[name]["0,b"] = value
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=re.escape(f"{what} beyond the float range (key '0,b')")):
+            mdp_mod.load(path)
+
     def test_integral_floats_accepted(self):
         data = toy_b_json()
         data["states"][1]["id"] = 1.0
