@@ -22,6 +22,7 @@ from .errors import (
     ImproperPolicy,
     NonConvergence,
     NotCommunicating,
+    NotTransient,
     NumericalFailure,
     PolicyIncomplete,
     TooLarge,
@@ -102,22 +103,49 @@ def split_kernel(problem: CycleProblem, mu: StationaryPolicy) -> SplitKernel:
 
 
 def _first_return(problem: CycleProblem, mu: StationaryPolicy):
-    """One LU solve of (I - R) X = [P_pi, g], where P_pi = P_mu[:, pi] and
-    R is P_mu with the cycle-set columns pi zeroed in place, so P_mu is
-    never held twice.  Returns (R, P_pi, g, pi, X): X[:, :-1] is the
-    first-return kernel on the columns pi, X[:, -1] the cycle cost."""
-    _require_proper(problem, mu)
-    R, g = problem.mdp.policy_matrices(mu)
-    pi = np.flatnonzero(problem.pi_mask())
-    P_pi = R[:, pi]  # advanced indexing copies
-    R[:, pi] = 0.0
-    X = numerics.transient_inverse(R, np.column_stack([P_pi, g]))
-    return R, P_pi, g, pi, X
+    """Sparse solve of (I - R) X = [P_pi, g], where P_pi = P_mu[:, pi] and
+    R is P_mu without the cycle-set columns pi; the mass entering pi is
+    each row's exit.  A closed class of R never enters the cycle set, so
+    the policy is improper: ImproperPolicy.  Returns (P, R, g, pi, X):
+    P and R apply P_mu and R to a vector, X[:, :-1] is the first-return
+    kernel on the columns pi and X[:, -1] the cycle cost."""
+    mdp = problem.mdp
+    cm = mdp.choices
+    rows = cm.rows_of(_as_choice(mdp, mu))
+    indptr, col, prob = cm.chain(rows)
+    n = mdp.n_states
+    mask = problem.pi_mask()
+    pi = np.flatnonzero(mask)
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    into = mask[col]
+    stay = ~into
+    rhs = np.zeros((n, len(pi) + 1))
+    rhs[row[into], np.searchsorted(pi, col[into])] = prob[into]
+    g = cm.cost[rows]
+    rhs[:, -1] = g
+    r_row, r_col, r_prob = row[stay], col[stay], prob[stay]
+    r_ptr = np.concatenate(([0], np.cumsum(np.bincount(r_row, minlength=n))))
+    try:
+        X = numerics.transient_solve(r_ptr, r_col, r_prob,
+                                     np.bincount(row[into], weights=prob[into], minlength=n),
+                                     rhs)
+    except NotTransient as exc:
+        raise ImproperPolicy(
+            "some state never enters the cycle set under this policy; "
+            f"its per-cycle cost is infinite ({exc})") from exc
+
+    def P(x):
+        return np.bincount(row, weights=prob * x[col], minlength=n)
+
+    def R(x):
+        return np.bincount(r_row, weights=r_prob * x[r_col], minlength=n)
+
+    return P, R, g, pi, X
 
 
 def first_return_kernel(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarray:
     """First-entry distribution over the cycle set: (I - right)^{-1} left."""
-    _, _, _, pi, X = _first_return(problem, mu)
+    *_, pi, X = _first_return(problem, mu)
     tilde = np.zeros((problem.mdp.n_states, problem.mdp.n_states))
     tilde[:, pi] = X[:, :-1]
     if np.max(np.abs(tilde.sum(axis=1) - 1.0)) > EVAL_TOL:
@@ -141,10 +169,10 @@ def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
     state's values follow from its first entry into the cycle set:
     J = P~ J_p, h = g~ - J + P~ h_p, v = -h + P~ v_p.  The result must
     satisfy the three per-cycle defining equations against P_mu within
-    tol * max(1, |J|_inf); NumericalFailure otherwise.  P_mu x is formed
-    as R x + P_pi x[pi].
+    tol * max(1, |J|_inf); NumericalFailure otherwise.  The products with
+    P_mu and R are sparse, so no n x n array is formed.
     """
-    R, P_pi, g, pi, X = _first_return(problem, mu)
+    P, R, g, pi, X = _first_return(problem, mu)
     tilde_P, tilde_g = X[:, :-1], X[:, -1]
     P_pp = tilde_P[pi]
     star = numerics.cesaro_limit(P_pp)
@@ -156,13 +184,11 @@ def acpc_evaluate(problem: CycleProblem, mu: StationaryPolicy,
     h = tilde_g - J + tilde_P @ h_p
     v = -h + tilde_P @ v_p
 
-    def P(x):
-        return R @ x + P_pi @ x[pi]
-
-    residual = max(float(np.max(np.abs(P(J) - J))),
-                   float(np.max(np.abs(J + h - g - R @ J - P(h)))),
-                   float(np.max(np.abs(h + v - R @ h - P(v)))))
-    if residual > _gain_scaled(tol, J):
+    # np.max, unlike the builtin, lets a NaN through to fail the check
+    residual = float(np.max([np.max(np.abs(P(J) - J)),
+                             np.max(np.abs(J + h - g - R(J) - P(h))),
+                             np.max(np.abs(h + v - R(h) - P(v)))]))
+    if not residual <= _gain_scaled(tol, J):
         raise NumericalFailure(
             f"per-cycle defining equations fail with residual {residual:.3e}")
     return AcpcGainBias(J=J, h=h, v=v)
@@ -224,21 +250,11 @@ def acpc_optimality_check(problem: CycleProblem, lam: float, h,
                         + lam * sum_{j not in cycle set} P(i,u,j)],
     within tol * max(1, |lam|).
     """
-    mdp = problem.mdp
+    cm = problem.mdp.choices
     h = np.asarray(h, dtype=float)
     # h(j) plus lam for a successor outside the cycle set
-    target = (h + lam * ~problem.pi_mask()).tolist()
-    scaled_tol = _gain_scaled(tol, lam)
-    for i in mdp.states:
-        best = min(mdp.cost[(i, a)] + _expect(mdp, (i, a), target) for a in mdp.available[i])
-        if abs(lam + h[i] - best) > scaled_tol:
-            return False
-    return True
-
-
-def _expect(mdp: LabeledMdp, key, values: list[float]) -> float:
-    """sum_j P(i, u, j) values[j] over the sparse row key = (i, u)."""
-    return sum(p * values[j] for j, p in zip(mdp.succ[key], mdp.prob[key]))
+    best = cm.segment_min(cm.cost + cm.expect(h + lam * ~problem.pi_mask()))
+    return bool(np.all(np.abs(lam + h - best) <= _gain_scaled(tol, lam)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +286,9 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
     else:
         choice, classes = _initial_policy(problem, k_states)
 
+    cm = mdp.choices
     out_mask = ~problem.pi_mask()
+    no_action = np.iinfo(cm.action.dtype).max
     cap = max(10 * mdp.n_states, 20)
     for iteration in range(cap):
         mu = StationaryPolicy(dict(enumerate(choice)))
@@ -280,20 +298,18 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
                 and acpc_optimality_check(problem, gb.lam, gb.h, tol=tol)):
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.OPTIMAL, iteration)
 
-        J = gb.J.tolist()
-        u_bar = _argmin_sets(mdp, lambda i, a: _expect(mdp, (i, a), J))
-        if all(choice[i] in u_bar[i] for i in mdp.states):
+        current = cm.rows_of(choice)
+        u_bar = _argmin_rows(cm, cm.expect(gb.J))
+        if u_bar[current].all():
             # h(j) plus J(j) for a successor outside the cycle set
-            target = (gb.h + gb.J * out_mask).tolist()
-            candidates = _argmin_sets(
-                mdp, lambda i, a: mdp.cost[(i, a)] + _expect(mdp, (i, a), target),
-                restrict=u_bar,
-            )
+            target = gb.h + gb.J * out_mask
+            candidates = _argmin_rows(cm, cm.cost + cm.expect(target), allowed=u_bar)
         else:
             candidates = u_bar
 
-        nxt = tuple(choice[i] if choice[i] in candidates[i] else min(candidates[i])
-                    for i in mdp.states)
+        # keep the current action when it is a candidate, else the least one
+        least = cm.segment_min(np.where(candidates, cm.action, no_action))
+        nxt = tuple(np.where(candidates[current], choice, least).tolist())
         selected = _constrained_select(problem, nxt, candidates, k_states)
         if selected is None or selected[0] == choice:
             mu = StationaryPolicy(dict(enumerate(choice)))
@@ -302,15 +318,14 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
     raise NonConvergence(f"policy iteration exceeded {cap} iterations")
 
 
-def _argmin_sets(mdp: LabeledMdp, value, restrict=None) -> list[set[int]]:
-    """Per-state argmin action sets with a small numeric tie tolerance."""
-    out = []
-    for i in mdp.states:
-        acts = restrict[i] if restrict is not None else mdp.available[i]
-        vals = {a: value(i, a) for a in acts}
-        best = min(vals.values())
-        out.append({a for a, val in vals.items() if val <= best + TIE_TOL * max(1.0, abs(best))})
-    return out
+def _argmin_rows(cm, values, allowed=None) -> np.ndarray:
+    """Mask of the rows within a small numeric tie tolerance of their
+    state's least value, counting only allowed rows when given."""
+    if allowed is not None:
+        values = np.where(allowed, values, np.inf)
+    best = cm.segment_min(values)
+    best += TIE_TOL * np.maximum(1.0, np.abs(best))
+    return values <= best[cm.row_state]
 
 
 def _as_choice(mdp: LabeledMdp, mu: StationaryPolicy) -> tuple[int, ...]:
@@ -339,13 +354,14 @@ def _policy_conditions(problem: CycleProblem, classes, k_states):
     return proper, k_every, k_some
 
 
-def _constrained_select(problem: CycleProblem, candidate, candidate_sets, k_states):
+def _constrained_select(problem: CycleProblem, candidate, allowed, k_states):
     """Keep the greedy candidate if it is proper with a K state in its
     recurrent classes; otherwise run one repair pass that reroutes states
-    in offending recurrent classes along candidate actions leaving the
-    class.  Returns (choice, its recurrent classes), or None when the
-    repair fails."""
+    in offending recurrent classes along allowed actions (a mask over the
+    choice-matrix rows) leaving the class.  Returns (choice, its
+    recurrent classes), or None when the repair fails."""
     mdp = problem.mdp
+    cm = mdp.choices
     choice = list(candidate)
     classes = _chain_classes(mdp, choice)
     for _ in range(mdp.n_states + 1):
@@ -356,7 +372,8 @@ def _constrained_select(problem: CycleProblem, candidate, candidate_sets, k_stat
         changed = False
         for cls in offending:
             for i in sorted(cls):
-                for a in sorted(candidate_sets[i]):
+                rows = slice(cm.row_ptr[i], cm.row_ptr[i + 1])
+                for a in sorted(set(cm.action[rows][allowed[rows]].tolist())):
                     if not cls.issuperset(mdp.succ[(i, a)]):
                         if choice[i] != a:
                             choice[i] = a
@@ -386,13 +403,13 @@ def _initial_policy(problem: CycleProblem, k_states):
     mdp = problem.mdp
     k_star = min(k_states)
     choice = list(_tree_policy(mdp, {k_star}))
-    full_sets = [set(mdp.available[i]) for i in mdp.states]
-    repaired = _constrained_select(problem, tuple(choice), full_sets, k_states)
+    every = np.ones(len(mdp.choices.action), dtype=bool)
+    repaired = _constrained_select(problem, tuple(choice), every, k_states)
     if repaired is not None:
         return repaired
     # fall back to a tree toward the cycle set (always proper), then repair K
     choice = _tree_policy(mdp, problem.pi_states)
-    repaired = _constrained_select(problem, choice, full_sets, k_states)
+    repaired = _constrained_select(problem, choice, every, k_states)
     if repaired is not None:
         return repaired
     return choice, _chain_classes(mdp, choice)
@@ -420,8 +437,8 @@ def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPol
     None when the random draw cannot be repaired."""
     mdp = problem.mdp
     choice = tuple(rng.choice(mdp.available[i]) for i in mdp.states)
-    full_sets = [set(mdp.available[i]) for i in mdp.states]
-    repaired = _constrained_select(problem, choice, full_sets, frozenset(k_states))
+    every = np.ones(len(mdp.choices.action), dtype=bool)
+    repaired = _constrained_select(problem, choice, every, frozenset(k_states))
     if repaired is None:
         return None
     return StationaryPolicy(dict(enumerate(repaired[0])))

@@ -1,5 +1,6 @@
 """Labeled MDP data model, JSON loading, validation, graph checks of
-induced chains and the backward search over the rows.
+induced chains, the backward search over the rows and the choice matrix
+that flattens them.
 
 States are indexed 0..n-1 and actions are indexed into a global action
 alphabet; action names are only used at the I/O boundary.  All types are
@@ -60,7 +61,8 @@ class LabeledMdp:
     tuples of the MDP they come from.  `pred` inverts succ for the
     backward search that almost-sure reachability, the reach policy and
     the initial policy of policy iteration share, and for the pruning of
-    the maximal end component decomposition.
+    the maximal end component decomposition.  `choices` flattens the
+    rows into the arrays that policy iteration computes with.
     """
 
     n_states: int
@@ -128,15 +130,91 @@ class LabeledMdp:
     def pi_states(self, pi: str) -> frozenset[int]:
         return frozenset(i for i in self.states if pi in self.label[i])
 
-    def policy_matrices(self, mu: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
-        """Transition matrix and cost vector of the chain induced by mu."""
-        P = np.zeros((self.n_states, self.n_states))
-        g = np.zeros(self.n_states)
+    @cached_property
+    def choices(self) -> ChoiceMatrix:
+        """The rows as one ChoiceMatrix, built on first use and only read
+        afterwards."""
+        row_ptr, action, cost, entry_ptr, col, prob = [0], [], [], [0], [], []
         for i in self.states:
-            key = (i, mu.action(i))
-            P[i, list(self.succ[key])] = self.prob[key]
-            g[i] = self.cost[key]
-        return P, g
+            if not self.available[i]:
+                raise InvariantViolation(f"no available action at state {i}")
+            for a in self.available[i]:
+                key = (i, a)
+                action.append(a)
+                cost.append(self.cost[key])
+                col.extend(self.succ[key])
+                prob.extend(self.prob[key])
+                entry_ptr.append(len(col))
+            row_ptr.append(len(action))
+        return ChoiceMatrix(row_ptr=np.array(row_ptr), action=np.array(action, dtype=np.int64),
+                            cost=np.array(cost, dtype=float), entry_ptr=np.array(entry_ptr),
+                            col=np.array(col, dtype=np.int64), prob=np.array(prob, dtype=float))
+
+    def policy_matrices(self, mu: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
+        """Dense transition matrix and cost vector of the chain induced by
+        mu, scattered from the choice matrix."""
+        cm = self.choices
+        rows = cm.rows_of([mu.action(i) for i in self.states])
+        indptr, col, prob = cm.chain(rows)
+        P = np.zeros((self.n_states, self.n_states))
+        P[np.repeat(np.arange(self.n_states), np.diff(indptr)), col] = prob
+        return P, cm.cost[rows]
+
+
+@dataclass(frozen=True, eq=False)
+class ChoiceMatrix:
+    """The rows of a LabeledMdp in compressed form, as in the sparse
+    engines of PRISM and Storm: one row per (state, action) pair, in
+    `available` order.  State i owns rows row_ptr[i]:row_ptr[i+1]; row r
+    takes action[r] at cost[r] and moves to col[e] with probability
+    prob[e] for e in entry_ptr[r]:entry_ptr[r+1].  Every state has a row
+    and every row an entry."""
+
+    row_ptr: np.ndarray
+    action: np.ndarray
+    cost: np.ndarray
+    entry_ptr: np.ndarray
+    col: np.ndarray
+    prob: np.ndarray
+
+    @cached_property
+    def row_state(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.row_ptr) - 1), np.diff(self.row_ptr))
+
+    @cached_property
+    def entry_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.action)), np.diff(self.entry_ptr))
+
+    def expect(self, x) -> np.ndarray:
+        """sum_j P(r, j) x[j] for every row r, added up in entry order."""
+        return np.bincount(self.entry_row, weights=self.prob * x[self.col],
+                           minlength=len(self.action))
+
+    def segment_min(self, values) -> np.ndarray:
+        """Per-state minimum of a per-row array."""
+        return np.minimum.reduceat(values, self.row_ptr[:-1])
+
+    def rows_of(self, choice) -> np.ndarray:
+        """The row of each state's action in choice (one action per
+        state); PolicyIncomplete when a state lacks that action."""
+        n_rows = len(self.action)
+        if len(choice) != len(self.row_ptr) - 1:
+            raise PolicyIncomplete("a policy needs one action per state")
+        hit = self.action == np.asarray(choice)[self.row_state]
+        rows = self.segment_min(np.where(hit, np.arange(n_rows), n_rows))
+        if np.any(rows == n_rows):
+            i = int(np.argmax(rows == n_rows))
+            raise PolicyIncomplete(f"action {choice[i]} is not available at state {i}")
+        return rows
+
+    def chain(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Compressed rows (indptr, col, prob) of the chain that takes
+        row rows[i] at each state i."""
+        start = self.entry_ptr[rows]
+        counts = self.entry_ptr[rows + 1] - start
+        indptr = np.concatenate(([0], np.cumsum(counts)))
+        take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
+        return indptr, self.col[take], self.prob[take]
 
 
 def validate(mdp: LabeledMdp) -> ValidationReport:

@@ -1,10 +1,12 @@
-"""Dense linear-algebra kernels: linear solves, Cesaro-limit matrix,
-deviation matrix and transient-matrix inversion.
+"""Linear-algebra kernels: linear solves, Cesaro-limit matrix,
+deviation matrix, transient-matrix inversion and the sparse transient
+solve of the policy-iteration loop.
 
 All routines operate on plain numpy arrays (row-major, float64) and are
-pure functions.  The Cesaro limit is computed structurally from the
-recurrent-class decomposition of the chain rather than by truncating the
-running average, so it is exact for periodic chains as well.
+pure functions; transient_solve takes its matrix in compressed rows.
+The Cesaro limit is computed structurally from the recurrent-class
+decomposition of the chain rather than by truncating the running
+average, so it is exact for periodic chains as well.
 """
 
 from __future__ import annotations
@@ -213,3 +215,70 @@ def transient_inverse(Q, rhs=None) -> np.ndarray:
     if np.min(rhs, initial=0.0) >= 0.0 and np.min(x, initial=0.0) < -1e-10:
         raise NotTransient("solution has negative entries; Q is not transient")
     return x
+
+
+def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
+    """(I - Q)^{-1} rhs for a sparse substochastic Q in compressed rows:
+    row i holds Q[i, col[e]] = val[e] for e in indptr[i]:indptr[i+1],
+    and exit[i] is the rest of state i's mass, 1 - sum_j Q[i, j], given
+    directly so that no pivot is formed as 1 minus a probability.
+
+    Every pivot is the mass leaving its state, exit plus the off-diagonal
+    row (Grassmann, Taksar and Heyman, 1985): each row is divided by it
+    up front, which leaves a unit diagonal.  The strongly connected
+    components of Q's graph are then solved one at a time in the order
+    Tarjan's algorithm closes them, sinks first, so each reads only rows
+    already solved: a single state by substitution, a larger component
+    by one dense solve of its own block.  A component that no mass
+    leaves is a closed class, so I - Q is singular: NotTransient.
+    """
+    n = len(indptr) - 1
+    rhs = np.asarray(rhs, dtype=float)
+    exit = np.asarray(exit, dtype=float)
+    if rhs.shape[0] != n or exit.shape != (n,):
+        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows and exit {exit.shape} "
+                                f"entries for {n} states")
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    off = np.asarray(col) != row  # a self-loop only lowers the mass leaving
+    row, col, val = row[off], np.asarray(col)[off], np.asarray(val, dtype=float)[off]
+    leave = exit + np.bincount(row, weights=val, minlength=n)
+    if not np.all(leave > 0.0):
+        raise NotTransient(f"state {int(np.argmin(leave > 0.0))} never leaves itself")
+    val = val / leave[row]
+    X = (rhs[:, np.newaxis] if rhs.ndim == 1 else rhs) / leave[:, np.newaxis]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))).tolist()
+    succ = col.tolist()
+    comp = _tarjan_scc(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)])
+    blocks: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for i, c in enumerate(comp):
+        blocks[c].append(i)
+
+    weight = val.tolist()
+    rows = list(X)  # views: x_i += w * x_j on rows, with no per-state indexing
+    local = np.full(n, -1)
+    for block in blocks:  # sinks first: successors outside the block are solved
+        if len(block) == 1:
+            x = rows[block[0]]
+            for e in range(ptr[block[0]], ptr[block[0] + 1]):
+                x += weight[e] * rows[succ[e]]
+            continue
+        m = len(block)
+        idx = np.array(block)
+        e = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in block])
+        r = np.repeat(np.arange(m), [ptr[i + 1] - ptr[i] for i in block])
+        c, v = col[e], val[e]
+        local[idx] = np.arange(m)
+        at = local[c]
+        local[idx] = -1
+        inside, out = at >= 0, at < 0
+        if not exit[idx].sum() + v[out].sum() > 0.0:
+            raise NotTransient(f"{m} states around state {block[0]} form a closed class")
+        A = np.eye(m)
+        A[r[inside], at[inside]] = -v[inside]
+        b = X[idx]
+        np.add.at(b, r[out], v[out, np.newaxis] * X[c[out]])
+        try:
+            X[idx] = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise NotTransient(f"a block of I - Q is singular: {exc}") from exc
+    return X.reshape(rhs.shape)

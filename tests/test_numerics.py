@@ -219,3 +219,106 @@ class TestTransientInverse:
             x = numerics.transient_inverse(Q, rhs)
             assert np.min(x) >= 0.0
             np.testing.assert_allclose(x, inv @ rhs, atol=1e-9)
+
+
+def csr(Q):
+    """Compressed rows (indptr, col, val) of a dense matrix."""
+    Q = np.asarray(Q, dtype=float)
+    indptr = np.concatenate(([0], np.cumsum(np.count_nonzero(Q, axis=1))))
+    return indptr, np.nonzero(Q)[1], Q[Q != 0.0]
+
+
+@st.composite
+def sparse_transient_problems(draw):
+    """(Q, exit, rhs): rows of [Q, exit] sum to 1.  The states are cut into
+    runs wired as cycles, which are periodic strongly connected blocks
+    unless an extra edge lands inside; extra edges, self-loops and
+    exits carry weights of 1 down to 1e-12 against the cycle's 1."""
+    n = draw(st.integers(1, 10))
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    weight = np.zeros((n, n))
+    start = 0
+    for k in range(1, n + 1):
+        if k == n or cuts[k]:
+            run = order[start:k]
+            if len(run) > 1:
+                for a, b in zip(run, run[1:] + run[:1]):
+                    weight[a, b] = 1.0
+            start = k
+    scales = st.sampled_from([1.0, 0.3, 1e-3, 1e-9, 1e-12])
+    for i, j, w in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           scales), max_size=2 * n)):
+        weight[i, j] += w  # j == i is a self-loop
+    out = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 1e-3, 1e-9, 1e-12]),
+                                 min_size=n, max_size=n)))
+    out[weight.sum(axis=1) + out == 0.0] = 1.0
+    total = weight.sum(axis=1) + out
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rhs = rng.normal(size=(n, draw(st.integers(1, 3))))
+    return weight / total[:, np.newaxis], out / total, rhs
+
+
+def reaches_exit(Q, exit):
+    """States with a path to a row that has exit mass."""
+    good = exit > 0.0
+    while True:
+        more = good | (Q[:, good] > 0.0).any(axis=1)
+        if (more == good).all():
+            return good
+        good = more
+
+
+class TestTransientSolve:
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_transient_problems())
+    def test_matches_dense_solve(self, problem):
+        """Against np.linalg.solve(I - Q, rhs): the residual is at the
+        rounding level of the data I and Q, the two solutions agree
+        within what |(I - Q)^{-1}| allows for such rounding, and a closed
+        class (some state never reaches an exit) raises NotTransient."""
+        Q, exit, rhs = problem
+        n = len(exit)
+        if not reaches_exit(Q, exit).all():
+            with pytest.raises(NotTransient):
+                numerics.transient_solve(*csr(Q), exit, rhs)
+            return
+        X = numerics.transient_solve(*csr(Q), exit, rhs)
+        A = np.eye(n) - Q
+        ref = np.linalg.solve(A, rhs)
+        u = np.finfo(float).eps
+        # 1 - Q[i, i] is not exact, so the diagonal's scale is 1 + Q[i, i]
+        scale = (np.eye(n) + Q) @ np.abs(X) + np.abs(rhs)
+        assert np.all(np.abs(A @ X - rhs) <= 10 * n * u * scale)
+        sensitivity = np.linalg.norm(np.linalg.inv(A), np.inf)
+        bound = 40 * n * u * sensitivity * max(1.0, float(np.max(np.abs(ref))))
+        np.testing.assert_allclose(X, ref, rtol=0.0, atol=bound)
+
+    def test_single_state_divides_by_exit_mass(self):
+        """A self-loop of 1 - eps: the solve divides by eps itself, where
+        1 - (1 - eps) has lost four digits at 1e-12."""
+        eps = 1e-12
+        x = numerics.transient_solve(*csr([[1.0 - eps]]), [eps], [2.0])
+        assert x[0] == 2.0 / eps
+        assert abs(np.linalg.solve([[1.0 - (1.0 - eps)]], [2.0])[0] * eps / 2.0 - 1.0) > 1e-5
+
+    def test_periodic_block_behind_a_chain(self):
+        """State 0 feeds the periodic block {1, 2, 3}, whose only exit is
+        state 3's 1e-9: every state needs about 3e9 steps to leave."""
+        eps = 1e-9
+        Q = np.zeros((4, 4))
+        Q[0, 1] = Q[1, 2] = Q[2, 3] = 1.0
+        Q[3, 1] = 1.0 - eps
+        X = numerics.transient_solve(*csr(Q), [0.0, 0.0, 0.0, eps], np.ones(4))
+        steps = 3.0 / eps - 2.0  # expected visits until the exit, from state 1
+        np.testing.assert_allclose(X, [steps + 1.0, steps, steps - 1.0, steps - 2.0],
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("Q, exit", [
+        ([[1.0]], [0.0]),                                       # absorbing self-loop
+        ([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]],  # a chain into a closed
+         [0.0, 0.0, 0.0]),                                      # periodic pair
+    ])
+    def test_closed_class_raises(self, Q, exit):
+        with pytest.raises(NotTransient):
+            numerics.transient_solve(*csr(Q), exit, np.ones(len(exit)))
