@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -31,8 +32,8 @@ def _tolerance() -> float:
     if raw is None:
         return acpc.EVAL_TOL
     tol = float(raw)
-    if tol <= 0:
-        raise ValueError("CYCLESYNTH_TOL must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError("CYCLESYNTH_TOL must be a positive finite number")
     return tol
 
 
@@ -101,8 +102,12 @@ def cmd_synthesize(args) -> int:
 def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ModelMismatch("the policy document is not a JSON object")
     if data.get("type") != "product-stationary":
         raise ModelMismatch(f"unsupported policy type {data.get('type')!r}")
+    if not isinstance(data.get("choices"), dict):
+        raise ModelMismatch("the policy has no 'choices' object")
     act_idx = {a: k for k, a in enumerate(product.mdp.actions)}
     choices = {}
     for key, action in data["choices"].items():
@@ -113,7 +118,7 @@ def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
             raise ModelMismatch(f"malformed product state key {key!r}") from None
         if pair not in product.index_of:
             raise ModelMismatch(f"policy state {key} is not a reachable product state")
-        if action not in act_idx:
+        if not isinstance(action, str) or action not in act_idx:
             raise ModelMismatch(f"policy action {action!r} is not an MDP action")
         i = product.index_of[pair]
         a = act_idx[action]

@@ -261,26 +261,14 @@ def validate(mdp: LabeledMdp) -> ValidationReport:
 
 def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
     """True iff every state reaches the target set with positive
-    probability under mu (graph reachability on positive edges)."""
+    probability under mu, that is, iff every recurrent class of mu's
+    chain meets the target: a closed class never leaves itself, and every
+    other state reaches some closed class."""
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    # backward BFS from the target
-    pred: list[list[int]] = [[] for _ in mdp.states]
-    for i in mdp.states:
-        for j in mdp.succ[(i, mu.action(i))]:
-            pred[j].append(i)
-    can_reach = set(target)
-    frontier = list(target)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in pred[v]:
-                if w not in can_reach:
-                    can_reach.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(can_reach) == mdp.n_states
+    classes, _ = numerics._bottom_classes([mdp.succ[(i, mu.action(i))] for i in mdp.states])
+    return all(not target.isdisjoint(c) for c in classes)
 
 
 def is_communicating(mdp: LabeledMdp) -> bool:
@@ -288,8 +276,7 @@ def is_communicating(mdp: LabeledMdp) -> bool:
     connected (every pair connected under some policy)."""
     succ = [sorted({j for a in mdp.available[i] for j in mdp.succ[(i, a)]})
             for i in mdp.states]
-    comp = numerics._tarjan_scc(mdp.n_states, succ)
-    return max(comp) == 0 if mdp.n_states else True
+    return len(numerics._tarjan_scc(mdp.n_states, succ)) <= 1
 
 
 # ---------------------------------------------------------------------------

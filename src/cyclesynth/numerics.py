@@ -72,34 +72,29 @@ def _bottom_classes(succ) -> tuple[list[list[int]], list[int]]:
     """Recurrent classes and transient states of the chain whose state i
     moves with positive probability exactly to succ[i].
 
-    A class is recurrent iff its strongly connected component has no
-    positive-probability edge leaving it (bottom SCC).
+    A class is recurrent iff its strongly connected component is closed,
+    that is, holds every successor of its members (bottom SCC).
     """
-    n = len(succ)
-    comp = _tarjan_scc(n, succ)
-    n_comp = max(comp) + 1
-    closed = [True] * n_comp
-    for i in range(n):
-        for j in succ[i]:
-            if comp[j] != comp[i]:
-                closed[comp[i]] = False
-    classes: list[list[int]] = [[] for _ in range(n_comp)]
-    for i in range(n):
-        classes[comp[i]].append(i)
-    recurrent = [c for k, c in enumerate(classes) if closed[k]]
-    transient = sorted(i for k, c in enumerate(classes) if not closed[k] for i in c)
-    return recurrent, transient
+    recurrent, transient = [], []
+    for component in _tarjan_scc(len(succ), succ):
+        members = set(component)
+        if all(members.issuperset(succ[i]) for i in component):
+            recurrent.append(component)
+        else:
+            transient.extend(component)
+    return recurrent, sorted(transient)
 
 
-def _tarjan_scc(n, succ) -> list[int]:
-    """Iterative Tarjan; returns component id per node."""
+def _tarjan_scc(n, succ) -> list[list[int]]:
+    """Strongly connected components by iterative Tarjan (1972), each a
+    sorted list, in the order the algorithm closes them: every edge
+    leaving a component points into one listed before it (sinks first)."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
-    comp = [-1] * n
+    components: list[list[int]] = []
     stack: list[int] = []
     counter = 0
-    n_comp = 0
     for root in range(n):
         if index[root] != -1:
             continue
@@ -127,17 +122,18 @@ def _tarjan_scc(n, succ) -> list[int]:
                 continue
             work.pop()
             if low[v] == index[v]:
+                component = []
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp[w] = n_comp
+                    component.append(w)
                     if w == v:
                         break
-                n_comp += 1
+                components.append(sorted(component))
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])
-    return comp
+    return components
 
 
 def stationary_distribution(P) -> np.ndarray:
@@ -229,8 +225,9 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
     components of Q's graph are then solved one at a time in the order
     Tarjan's algorithm closes them, sinks first, so each reads only rows
     already solved: a single state by substitution, a larger component
-    by one dense solve of its own block.  A component that no mass
-    leaves is a closed class, so I - Q is singular: NotTransient.
+    by elimination of its own block with every pivot again a sum of the
+    masses leaving its state, never a difference.  A component that no
+    mass leaves is a closed class, so I - Q is singular: NotTransient.
     """
     n = len(indptr) - 1
     rhs = np.asarray(rhs, dtype=float)
@@ -248,10 +245,7 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
     X = (rhs[:, np.newaxis] if rhs.ndim == 1 else rhs) / leave[:, np.newaxis]
     ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))).tolist()
     succ = col.tolist()
-    comp = _tarjan_scc(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)])
-    blocks: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
-    for i, c in enumerate(comp):
-        blocks[c].append(i)
+    blocks = _tarjan_scc(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)])
 
     weight = val.tolist()
     rows = list(X)  # views: x_i += w * x_j on rows, with no per-state indexing
@@ -271,14 +265,19 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
         at = local[c]
         local[idx] = -1
         inside, out = at >= 0, at < 0
-        if not exit[idx].sum() + v[out].sum() > 0.0:
-            raise NotTransient(f"{m} states around state {block[0]} form a closed class")
-        A = np.eye(m)
-        A[r[inside], at[inside]] = -v[inside]
-        b = X[idx]
-        np.add.at(b, r[out], v[out, np.newaxis] * X[c[out]])
-        try:
-            X[idx] = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise NotTransient(f"a block of I - Q is singular: {exc}") from exc
+        G = np.zeros((m, m + 1 + X.shape[1]))  # [Q in the block | mass leaving it | rhs]
+        G[r[inside], at[inside]] = v[inside]
+        G[:, m] = exit[idx] / leave[idx] + np.bincount(r[out], weights=v[out], minlength=m)
+        G[:, m + 1:] = X[idx]
+        np.add.at(G[:, m + 1:], r[out], v[out, np.newaxis] * X[c[out]])
+        for k in range(m):  # the pivot: mass leaving k for later states or the block
+            pivot = G[k, k + 1:m + 1].sum()
+            if not pivot > 0.0:
+                raise NotTransient(f"{m} states around state {block[0]} form a closed class")
+            G[k] /= pivot
+            G[k + 1:, k + 1:] += np.outer(G[k + 1:, k], G[k, k + 1:])
+        x = G[:, m + 1:]
+        for k in reversed(range(m)):
+            x[k] += G[k, k + 1:m] @ x[k + 1:]
+        X[idx] = x
     return X.reshape(rhs.shape)

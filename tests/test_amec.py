@@ -305,17 +305,13 @@ def oracle_mecs(product, restrict=None):
         pos = {i: k for k, i in enumerate(nodes)}
         edges = [sorted({pos[j] for a in actions[i] for j in succ[(i, a)]})
                  for i in nodes]
-        comp = numerics._tarjan_scc(len(nodes), edges)
-        n_comp = max(comp) + 1 if nodes else 0
-        if n_comp <= 1:
+        groups = numerics._tarjan_scc(len(nodes), edges)
+        if len(groups) <= 1:
             if nodes:
                 components.append(block)
             continue
-        groups = [set() for _ in range(n_comp)]
-        for k, i in enumerate(nodes):
-            groups[comp[k]].add(i)
         for grp in groups:
-            work.append(prune(grp))
+            work.append(prune({nodes[k] for k in grp}))
     out = []
     for block in components:
         act_map = {i: tuple(sorted(actions[i])) for i in sorted(block)}

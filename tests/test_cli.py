@@ -93,13 +93,16 @@ class TestSynthesizeCommand:
         assert code == 1
         assert "error: missing key 'K' (key 'pairs[0]')" in capsys.readouterr().err
 
-    def test_tolerance_env_override(self, tmp_path, monkeypatch):
+    def test_tolerance_env_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CYCLESYNTH_TOL", "1e-6")
         assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,
                      "--pi", "pickup"]) == 0
-        monkeypatch.setenv("CYCLESYNTH_TOL", "-1")
-        assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,
-                     "--pi", "pickup"]) == 1
+        for bad in ("-1", "inf", "nan"):  # inf would certify any policy
+            capsys.readouterr()
+            monkeypatch.setenv("CYCLESYNTH_TOL", bad)
+            assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,
+                         "--pi", "pickup"]) == 1
+            assert "error: CYCLESYNTH_TOL" in capsys.readouterr().err
 
     def test_retries_and_jobs_flags(self, capsys):
         assert main(["synthesize", "--mdp", TWO_AMEC, "--dra", TRIVIAL_DRA,
@@ -177,6 +180,21 @@ class TestSimulateCommand:
         bad.write_text(json.dumps(data))
         assert main(["simulate", "--mdp", PD_MDP, "--dra", PD_DRA,
                      "--policy", str(bad), "--stages", "10"]) == 1
+
+    @pytest.mark.parametrize("malform", [
+        lambda doc: {k: v for k, v in doc.items() if k != "choices"},
+        lambda doc: [doc],
+        lambda doc: {**doc, "choices": list(doc["choices"].items())},
+        lambda doc: {**doc, "choices": {k: [v] for k, v in doc["choices"].items()}},
+    ], ids=["no-choices", "top-level-array", "choices-array", "list-action"])
+    def test_malformed_policy_document_rejected(self, tmp_path, capsys, malform):
+        policy = self._policy(tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(malform(json.loads(policy.read_text()))))
+        capsys.readouterr()
+        assert main(["simulate", "--mdp", PD_MDP, "--dra", PD_DRA,
+                     "--policy", str(bad), "--stages", "10"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestOracleCommand:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_mdp
 from cyclesynth import mdp as mdp_mod
@@ -78,6 +80,39 @@ class TestModel:
         assert model.pred == ([(0, 0), (1, 0)], [(0, 1)])
 
 
+@st.composite
+def policies_with_targets(draw):
+    """Random MDPs, not necessarily communicating, with a policy and a
+    nonempty target set."""
+    n = draw(st.integers(1, 10))
+    actions = ["a", "b", "c"]
+    rows = {}
+    for i in range(n):
+        for a in draw(st.lists(st.sampled_from(actions), min_size=1, max_size=3,
+                               unique=True)):
+            support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3,
+                                    unique=True))
+            rows[(i, a)] = [(j, 1.0 / len(support)) for j in support]
+    mdp = make_mdp(n, actions, rows, {key: 1.0 for key in rows})
+    mu = StationaryPolicy({i: draw(st.sampled_from(mdp.available[i])) for i in mdp.states})
+    return mdp, mu, draw(st.frozensets(st.integers(0, n - 1), min_size=1))
+
+
+def oracle_is_proper(mdp, mu, target):
+    """Backward breadth-first search from the target over the edges of
+    mu's chain: proper iff it reaches every state."""
+    pred = [[] for _ in mdp.states]
+    for i in mdp.states:
+        for j in mdp.succ[(i, mu.action(i))]:
+            pred[j].append(i)
+    can_reach = set(target)
+    frontier = list(target)
+    while frontier:
+        frontier = [w for v in frontier for w in pred[v] if w not in can_reach]
+        can_reach.update(frontier)
+    return len(can_reach) == mdp.n_states
+
+
 class TestChainAnalysis:
     def test_induced_chain_self_loop(self, toy_b):
         P, _g = toy_b.policy_matrices(StationaryPolicy({0: 0, 1: 0}))
@@ -91,6 +126,12 @@ class TestChainAnalysis:
         assert is_proper(toy_b, swap, {0})
         assert is_proper(toy_b, loop, {0})   # state 1 still reaches 0
         assert not is_proper(toy_b, loop, {1})  # state 0 never leaves itself
+
+    @settings(max_examples=300, deadline=None)
+    @given(policies_with_targets())
+    def test_is_proper_matches_backward_search(self, problem):
+        mdp, mu, target = problem
+        assert is_proper(mdp, mu, target) == oracle_is_proper(mdp, mu, target)
 
     def test_is_communicating(self, toy_b):
         assert is_communicating(toy_b)
