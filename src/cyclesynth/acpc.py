@@ -271,7 +271,7 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
     selection fails.
     """
     mdp = problem.mdp
-    k_states = frozenset(k_states)
+    k_states = _k_set(problem, k_states)
     if not k_states:
         raise ValueError("k_states must be nonempty")
     if not is_communicating(mdp):
@@ -316,6 +316,15 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.NOT_OPTIMAL, iteration)
         choice, classes = selected
     raise NonConvergence(f"policy iteration exceeded {cap} iterations")
+
+
+def _k_set(problem: CycleProblem, k_states) -> frozenset[int]:
+    """k_states as a set, checked against the state set like pi_states."""
+    k_set = frozenset(k_states)
+    outside = [k for k in k_set if k not in problem.mdp.states]
+    if outside:
+        raise ValueError(f"k_states {sorted(outside)} are not states of the MDP")
+    return k_set
 
 
 def _argmin_rows(cm, values, allowed=None) -> np.ndarray:
@@ -454,13 +463,13 @@ def brute_force_acpc(problem: CycleProblem, k_states=None,
     K-recurrent ones when k_states is given) and return the minimum-gain
     policy.  Ties broken lexicographically by action index."""
     mdp = problem.mdp
+    k_set = _k_set(problem, k_states) if k_states is not None else None
     count = 1
     for acts in mdp.available:
         count *= len(acts)
         if count > BRUTE_FORCE_CAP:
             raise TooLarge(f"more than {BRUTE_FORCE_CAP} stationary policies")
     pi_mask = problem.pi_mask()
-    k_set = frozenset(k_states) if k_states is not None else None
     best_choice = None
     best_lam = math.inf
     for choice in itertools.product(*[sorted(acts) for acts in mdp.available]):

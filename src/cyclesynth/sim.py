@@ -77,6 +77,8 @@ def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
     report, the visits per state, and the visits before the first entry
     into amec_states (None if the run never enters it; the entry visit
     itself counts as after entry)."""
+    if n_stages < 1:
+        raise ValueError(f"the stage count must be positive, got {n_stages}")
     uniform = Random(seed).random
     pi_set = frozenset(pi_states)
     until = frozenset(amec_states or ())

@@ -1,5 +1,5 @@
 """End-to-end synthesis: product construction, accepting-component
-analysis, per-component reach + per-cycle policy iteration, and the
+analysis, per-cycle policy iteration inside each component, and the
 stitched policy attaining the minimum gain over reachable components.
 """
 
@@ -88,15 +88,8 @@ def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
 
 
 def _solve_component(product: ProductMdp, idx: int, component, retries: int, tol: float):
-    """Per-cycle solve inside one reachable component.  Returns
-    (solution, reach policy, interior choices on product states) or the
-    skip record of diagnostics["skipped"]."""
-    try:
-        reach = amec_mod.reach_policy(product, component)
-    except NotReachableAlmostSurely:
-        return {"amec": idx, "reason": "not reachable almost surely"}
-    if not component.pi_states:
-        return {"amec": idx, "reason": "no cycle states inside"}
+    """Per-cycle solve inside one component with cycle states.  Returns
+    the solution and its interior choices on product states."""
     problem, k_local, local, ordered = amec_cycle_problem(product, component)
     result = acpc.policy_iteration(problem, k_local, tol=tol)
     rng = Random(idx)
@@ -118,57 +111,56 @@ def _solve_component(product: ProductMdp, idx: int, component, retries: int, tol
         interior_policy=result.policy,
         states=component.states,
     )
-    interior = {g: result.policy.choice[local[g]] for g in ordered}
-    return solution, reach, interior
+    return solution, {g: result.policy.choice[local[g]] for g in ordered}
 
 
 def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
                jobs: int = 1, tol: float = acpc.EVAL_TOL) -> SynthesisResult:
-    """Steps: build the product, find reachable accepting components,
-    solve the per-cycle problem inside each, and stitch the reach policy
-    with the interior policy of the component with the least gain.
-
-    Components are independent; jobs > 1 solves them in worker threads.
-    Raises NoReachableAmec when no policy satisfies the specification
-    almost surely while completing cycles.
+    """Build the product, find its accepting components, solve the
+    per-cycle problem inside each (in worker threads when jobs > 1), then
+    reach-check them in (lambda, index) order and stitch the first one
+    reached almost surely to its reach policy.  lambda_per_amec holds that
+    winner and the components after it, which are never reach-checked.
+    Raises NoReachableAmec when no component with cycle states is reached.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be nonnegative, got {retries}")
     product = build_product(mdp, dra, pi)
     components = amec_mod.accepting_amecs(product)
-    diagnostics = {
-        "productStates": product.n_states,
-        "rawProductStates": mdp.n_states * dra.n_states,
-        "amecs": len(components),
-        "amecSizes": [len(c.states) for c in components],
-        "skipped": [],
-    }
     if not components:
         raise NoReachableAmec("the product has no accepting maximal end component")
-
-    # fold the outcomes as they arrive, keeping the reach policy (a
-    # choice per product state) of the least (lambda, index) only
-    solutions: list[AmecSolution] = []
-    best = None
+    skipped = [{"amec": idx, "reason": "no cycle states inside"}
+               for idx, c in enumerate(components) if not c.pi_states]
     with ExitStack() as stack:
         mapper = map
         if jobs > 1:  # importing concurrent.futures adds about 0.5 MB of peak RSS
             from concurrent.futures import ThreadPoolExecutor
             mapper = stack.enter_context(ThreadPoolExecutor(max_workers=jobs)).map
-        for outcome in mapper(lambda item: _solve_component(product, *item, retries, tol),
-                              enumerate(components)):
-            if isinstance(outcome, dict):
-                diagnostics["skipped"].append(outcome)
-                continue
-            solutions.append(outcome[0])
-            if best is None or outcome[0].lam < best[0].lam:
-                best = outcome
-            del outcome  # a losing reach policy is freed before the next solve
-    if best is None:
+        solved = sorted(
+            mapper(lambda item: _solve_component(product, *item, retries, tol),
+                   [(idx, c) for idx, c in enumerate(components) if c.pi_states]),
+            key=lambda out: (out[0].lam, out[0].amec_index))
+    for rank, (winner, interior) in enumerate(solved):
+        try:
+            reach = amec_mod.reach_policy(product, components[winner.amec_index])
+            break
+        except NotReachableAlmostSurely:
+            skipped.append({"amec": winner.amec_index, "reason": "not reachable almost surely"})
+    else:
         raise NoReachableAmec(
             "no reachable accepting maximal end component admits finite "
             "per-cycle cost")
 
-    winner, reach, interior = best
-    diagnostics["iterations"] = {str(s.amec_index): s.iterations for s in solutions}
+    # every component before the winner was shown unreachable
+    solutions = sorted((s for s, _ in solved[rank:]), key=lambda s: s.amec_index)
+    diagnostics = {
+        "productStates": product.n_states,
+        "rawProductStates": mdp.n_states * dra.n_states,
+        "amecs": len(components),
+        "amecSizes": [len(c.states) for c in components],
+        "skipped": sorted(skipped, key=lambda skip: skip["amec"]),
+        "iterations": {str(s.amec_index): s.iterations for s in solutions},
+    }
     return SynthesisResult(
         product=product,
         winning_amec_index=winner.amec_index,

@@ -227,6 +227,12 @@ class TestPolicyIteration:
         assert result.policy.choice[0] == 1  # take the cheap 2-cycle
         assert result.gain_bias.lam == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize("k", [99, -1])
+    def test_k_outside_state_set_rejected(self, k):
+        prob = problem(pickup_delivery_mdp(), pi=("pickup",))
+        with pytest.raises(ValueError, match=rf"k_states \[{k}\]"):
+            acpc.policy_iteration(prob, k_states={k})
+
     def test_requires_communicating(self):
         islands = make_mdp(
             2, ["a"],
@@ -420,6 +426,12 @@ class TestBruteForce:
         mu, lam = acpc.brute_force_acpc(problem(toy_b), k_states={1})
         assert mu.choice == {0: 1, 1: 0}
         assert lam == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("k", [99, -1])
+    def test_k_outside_state_set_rejected(self, k):
+        prob = problem(pickup_delivery_mdp(), pi=("pickup",))
+        with pytest.raises(ValueError, match=rf"k_states \[{k}\]"):
+            acpc.brute_force_acpc(prob, k_states={5, k})
 
     def test_too_large(self):
         n = 21

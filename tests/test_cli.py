@@ -114,6 +114,11 @@ class TestSynthesizeCommand:
         assert exc.value.code == 2
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    def test_negative_retries_exit_one(self, capsys):
+        assert main(["synthesize", "--mdp", TWO_AMEC, "--dra", TRIVIAL_DRA,
+                     "--pi", "pi", "--retries", "-4"]) == 1
+        assert "error: retries" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def _policy(self, tmp_path):
@@ -196,6 +201,15 @@ class TestSimulateCommand:
                      "--policy", str(bad), "--stages", "10"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("stages", ["0", "-5"])
+    def test_non_positive_stages_exit_one(self, tmp_path, capsys, stages):
+        policy = self._policy(tmp_path)
+        capsys.readouterr()
+        assert main(["simulate", "--mdp", PD_MDP, "--dra", PD_DRA,
+                     "--policy", str(policy), "--stages", stages]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "cycles" not in captured.out
+
 
 class TestOracleCommand:
     def test_two_amec(self, capsys):
@@ -209,6 +223,11 @@ class TestOracleCommand:
                      "--k", "5"])
         assert code == 0
         assert "lambda" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("k", ["99", "-1"])
+    def test_k_outside_state_set_exit_one(self, capsys, k):
+        assert main(["oracle", "--mdp", PD_MDP, "--pi", "pickup", "--k", "5", k]) == 1
+        assert f"error: k_states [{k}]" in capsys.readouterr().err
 
 
 def _console_script(name: str) -> tuple[str, str, list[str]]:

@@ -117,6 +117,11 @@ class TestSimulate:
         assert len(report.cycle_costs) == report.cycles - 1
         assert sum(report.cycle_costs) <= report.total_cost
 
+    @pytest.mark.parametrize("stages", [0, -5])
+    def test_non_positive_stage_count_rejected(self, toy_a, stages):
+        with pytest.raises(ValueError, match="stage count"):
+            sim.simulate(toy_a, single_policy(toy_a), stages, seed=0, pi_states={0})
+
     def test_report_json_shape(self, toy_a):
         report = sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={0})
         data = report.to_json_dict()
@@ -160,6 +165,15 @@ class TestSimulateProduct:
                                 pi_states=mdp.pi_states("pickup"))
         assert rows
         assert len(rows) == len(set(rows))
+
+    @pytest.mark.parametrize("stages", [0, -5])
+    def test_non_positive_stage_count_rejected(self, stages):
+        mdp, _dra, result = self._solved()
+        with pytest.raises(ValueError, match="stage count"):
+            sim.simulate_product(result.product, result.stitched_policy, stages, seed=5)
+        with pytest.raises(ValueError, match="stage count"):
+            sim.simulate_executable(mdp, result.executable(), stages, seed=5,
+                                    pi_states=mdp.pi_states("pickup"))
 
     def test_acceptance_evidence(self):
         _mdp, _dra, result = self._solved()

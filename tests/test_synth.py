@@ -1,12 +1,12 @@
 import dataclasses
-import gc
 import subprocess
 import sys
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     always_accepting_dra,
@@ -21,7 +21,7 @@ from cyclesynth import acpc, sim
 from cyclesynth import mdp as mdp_mod
 from cyclesynth.acpc import PolicyIterationStatus
 from cyclesynth.dra import Dra
-from cyclesynth.errors import NoReachableAmec
+from cyclesynth.errors import NoReachableAmec, NotReachableAlmostSurely
 from cyclesynth.synth import amec_cycle_problem, synthesize
 from cyclesynth import amec as amec_mod
 from cyclesynth.product import build_product
@@ -134,10 +134,10 @@ class TestSynthesize:
         assert seq.stitched_policy.choice == par.stitched_policy.choice
 
     def test_threads_build_the_predecessor_list_whole(self):
-        """Worker threads race on the first use of the product's
-        predecessor list, whose build takes milliseconds behind a long
-        corridor; with threads switching every few bytecodes they must
-        still give the sequential answer."""
+        """Worker threads solve the component interiors while switching
+        every few bytecodes; the product's predecessor list, whose build
+        takes milliseconds behind a long corridor, is first used by the
+        reach check after them.  The answer must be the sequential one."""
         corridor, rooms = 5000, rooms_mdp(8)
         rows = {(k, "go"): [(k + 1, 1.0)] for k in range(corridor)}
         for (i, a), row in rooms.succ.items():
@@ -203,28 +203,142 @@ class TestSynthesize:
         assert d["amecSizes"] == [12]
         assert d["skipped"] == []
 
-    def test_only_the_best_reach_policy_kept(self, monkeypatch):
-        """Components are folded as they are solved: when a component's
-        policy iteration starts, only its own reach policy and the best
-        one so far are alive."""
-        made, alive = [], []
-        reach_policy, policy_iteration = amec_mod.reach_policy, acpc.policy_iteration
-
-        def tracked_reach(product, component):
-            policy = reach_policy(product, component)
-            made.append(weakref.ref(policy))
-            return policy
-
-        def counting_iteration(*args, **kwargs):
-            gc.collect()
-            alive.append(sum(ref() is not None for ref in made))
-            return policy_iteration(*args, **kwargs)
-
-        monkeypatch.setattr(amec_mod, "reach_policy", tracked_reach)
-        monkeypatch.setattr(acpc, "policy_iteration", counting_iteration)
+    def test_interiors_solved_before_one_reach_check(self, monkeypatch):
+        """Every component's policy iteration runs before the first reach
+        policy; on rooms 5, where the cheapest room is reached almost
+        surely, the almost-sure set is computed once."""
+        events = []
+        for module, name in ((acpc, "policy_iteration"), (amec_mod, "reach_policy"),
+                             (amec_mod, "almost_sure_reach_set")):
+            monkeypatch.setattr(module, name, recording(events, name, getattr(module, name)))
         result = synthesize(rooms_mdp(5), always_accepting_dra(), "pi")
         assert result.winning_amec_index == 4 and len(result.lambda_per_amec) == 5
-        assert len(alive) == 5 and max(alive) <= 2
+        assert [name for name, _args in events] == (
+            ["policy_iteration"] * 5 + ["reach_policy", "almost_sure_reach_set"])
+
+    def test_cheapest_reached_by_a_coin_flip_loses(self, monkeypatch):
+        """The cheapest room is entered with probability 1/2 only: it is
+        reach-checked first, skipped, and the dearer room reached almost
+        surely wins."""
+        calls = []
+        monkeypatch.setattr(amec_mod, "almost_sure_reach_set",
+                            recording(calls, "reach_set", amec_mod.almost_sure_reach_set))
+        result = synthesize(coin_or_walk_mdp(), always_accepting_dra(), "pi")
+        product = result.product
+
+        def cells(states):
+            return {product.pairs_of[i][0] for i in states}
+
+        assert [cells(args[1]) for _name, args in calls] == [{3, 4}, {1, 2}]
+        assert result.winning_amec_index == 0 and cells(result.winning_states()) == {1, 2}
+        assert result.optimal_cost == pytest.approx(10.0) and result.optimal
+        assert [sol.amec_index for sol in result.lambda_per_amec] == [0]
+        assert result.diagnostics["skipped"] == [
+            {"amec": 1, "reason": "not reachable almost surely"}]
+        i0 = product.index_of[(0, 0)]
+        assert product.mdp.actions[result.stitched_policy.choice[i0]] == "walk"
+
+    def test_negative_retries_rejected(self):
+        with pytest.raises(ValueError, match="retries"):
+            synthesize(two_amec_mdp(), always_accepting_dra(), "pi", retries=-4)
+
+
+def recording(log, name, fn):
+    """fn, appending (name, positional arguments) to log on each call."""
+    def wrapper(*args, **kwargs):
+        log.append((name, args))
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def coin_or_walk_mdp():
+    """State 0 either flips a coin between the dear room {1, 2} (cost 5
+    a step, 10 a cycle) and the cheap room {3, 4} (2 a cycle), or walks
+    surely into the dear room."""
+    return make_mdp(
+        5, ["flip", "walk", "go"],
+        rows={(0, "flip"): [(1, 0.5), (3, 0.5)], (0, "walk"): [(1, 1.0)],
+              (1, "go"): [(2, 1.0)], (2, "go"): [(1, 1.0)],
+              (3, "go"): [(4, 1.0)], (4, "go"): [(3, 1.0)]},
+        costs={(0, "flip"): 1.0, (0, "walk"): 1.0, (1, "go"): 5.0, (2, "go"): 5.0,
+               (3, "go"): 1.0, (4, "go"): 1.0},
+        labels={1: ["pi"], 3: ["pi"]},
+    )
+
+
+def per_component_selection(mdp, dra, pi):
+    """Reference selection, one component at a time: reach-check every
+    component, solve the interior of each one reached almost surely that
+    has cycle states, keep the least (lambda, index).  Returns (lambda,
+    winner, stitched choice), or None where no component qualifies."""
+    product = build_product(mdp, dra, pi)
+    best = None
+    for idx, component in enumerate(amec_mod.accepting_amecs(product)):
+        try:
+            reach = amec_mod.reach_policy(product, component)
+        except NotReachableAlmostSurely:
+            continue
+        if not component.pi_states:
+            continue
+        problem, k_local, local, ordered = amec_cycle_problem(product, component)
+        result = acpc.policy_iteration(problem, k_local)
+        if best is None or result.gain_bias.lam < best[0]:
+            interior = {g: result.policy.choice[local[g]] for g in ordered}
+            best = (result.gain_bias.lam, idx, {**reach.choice, **interior})
+    return best
+
+
+@st.composite
+def room_products(draw):
+    """Random MDPs of closed rooms and entry states under the
+    always-accepting or the pickup-delivery automaton.  Each room is a
+    ring under "stay", starting at a pickup state, and may have a drawn
+    "leave" row to any state; an entry state's rows go to later states
+    only.  So some rooms are reached almost
+    surely, some with positive probability only and some not at all.
+    Costs are drawn integers, so gains can tie."""
+    n_entry = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    n = n_entry + sum(sizes)
+
+    def row(first):
+        succ = draw(st.lists(st.integers(first, n - 1), min_size=1, max_size=3, unique=True))
+        weights = [draw(st.integers(1, 3)) for _ in succ]
+        return [(j, w / sum(weights)) for j, w in zip(succ, weights)]
+
+    rows = {(i, a): row(i + 1) for i in range(n_entry)
+            for a in ("a", "b")[:draw(st.integers(1, 2))]}
+    starts = [n_entry + sum(sizes[:r]) for r in range(len(sizes))]
+    for start, size in zip(starts, sizes):
+        for k in range(size):
+            rows[(start + k, "stay")] = [(start + (k + 1) % size, 1.0)]
+            if draw(st.booleans()):
+                rows[(start + k, "leave")] = row(0)
+    costs = {key: draw(st.integers(1, 9)) for key in rows}
+    labels = {i: draw(st.sampled_from([[], ["pickup"], ["dropoff"]])) for i in range(n)}
+    labels.update((i, ["pickup"]) for i in starts)
+    mdp = make_mdp(n, ["stay", "leave", "a", "b"], rows, costs, labels=labels)
+    dra = draw(st.sampled_from([always_accepting_dra(("pickup", "dropoff")),
+                                pickup_delivery_dra()]))
+    return mdp, dra
+
+
+class TestAgainstPerComponentSelection:
+    @settings(max_examples=200, deadline=None)
+    @given(room_products())
+    def test_same_answer(self, problem):
+        mdp, dra = problem
+        expected = per_component_selection(mdp, dra, "pickup")
+        try:
+            result = synthesize(mdp, dra, "pickup")
+        except NoReachableAmec:
+            assert expected is None
+            return
+        assert expected is not None
+        lam, winner, choice = expected
+        assert repr(result.optimal_cost) == repr(lam)
+        assert result.winning_amec_index == winner
+        assert result.stitched_policy.choice == choice
 
 
 class TestSuccessorTable:
@@ -246,21 +360,6 @@ class TestSuccessorTable:
         sim.simulate_executable(mdp, result.executable(), 1000, seed=1,
                                 pi_states=mdp.pi_states("pickup"))
         assert callers == ["build_product"] * result.product.n_states
-
-    def test_almost_sure_set_once_per_component(self, monkeypatch):
-        calls = []
-        reach_set = amec_mod.almost_sure_reach_set
-
-        def counting(product, target):
-            calls.append(frozenset(target))
-            return reach_set(product, target)
-
-        monkeypatch.setattr(amec_mod, "almost_sure_reach_set", counting)
-        result = synthesize(two_amec_mdp(), always_accepting_dra(), "pi")
-        assert len(result.lambda_per_amec) == 2
-        assert sorted(calls, key=sorted) == sorted(
-            (sol.states for sol in result.lambda_per_amec), key=sorted)
-
 
 
 def test_synthesize_does_not_import_scipy(tmp_path):
