@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -216,6 +218,29 @@ class TestSynthesize:
         assert [name for name, _args in events] == (
             ["policy_iteration"] * 5 + ["reach_policy", "almost_sure_reach_set"])
 
+    def test_only_the_best_reach_policy_kept(self, monkeypatch):
+        """One reach policy is built on rooms 5, for the winning room, and
+        none exists while the component interiors are solved."""
+        made, alive = [], []
+        reach_policy, policy_iteration = amec_mod.reach_policy, acpc.policy_iteration
+
+        def tracked_reach(product, component):
+            policy = reach_policy(product, component)
+            made.append((component.states, weakref.ref(policy)))
+            return policy
+
+        def counting_iteration(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for _states, ref in made))
+            return policy_iteration(*args, **kwargs)
+
+        monkeypatch.setattr(amec_mod, "reach_policy", tracked_reach)
+        monkeypatch.setattr(acpc, "policy_iteration", counting_iteration)
+        result = synthesize(rooms_mdp(5), always_accepting_dra(), "pi")
+        assert result.winning_amec_index == 4 and len(result.lambda_per_amec) == 5
+        assert alive == [0] * 5
+        assert [states for states, _ref in made] == [result.winning_states()]
+
     def test_cheapest_reached_by_a_coin_flip_loses(self, monkeypatch):
         """The cheapest room is entered with probability 1/2 only: it is
         reach-checked first, skipped, and the dearer room reached almost
@@ -360,6 +385,23 @@ class TestSuccessorTable:
         sim.simulate_executable(mdp, result.executable(), 1000, seed=1,
                                 pi_states=mdp.pi_states("pickup"))
         assert callers == ["build_product"] * result.product.n_states
+
+    def test_almost_sure_set_once_per_component(self, monkeypatch):
+        """The almost-sure set is computed at most once per component, and
+        only for components reach-checked: on two_amec the cheaper right
+        cycle is checked first and wins, so the left one is never checked."""
+        calls = []
+        reach_set = amec_mod.almost_sure_reach_set
+
+        def counting(product, target):
+            calls.append(frozenset(target))
+            return reach_set(product, target)
+
+        monkeypatch.setattr(amec_mod, "almost_sure_reach_set", counting)
+        result = synthesize(two_amec_mdp(), always_accepting_dra(), "pi")
+        assert len(result.lambda_per_amec) == 2
+        assert calls == [result.winning_states()]
+        assert result.optimal_cost == pytest.approx(2.0)
 
 
 def test_synthesize_does_not_import_scipy(tmp_path):
