@@ -99,6 +99,15 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
+def _state_pair(key: str) -> tuple[int, int]:
+    """The (MDP state, automaton state) pair a policy key "s:q" names."""
+    try:
+        s_str, q_str = key.split(":")
+        return int(s_str), int(q_str)
+    except ValueError:
+        raise ModelMismatch(f"malformed product state key {key!r}") from None
+
+
 def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
     with open(path) as fh:
         data = json.load(fh)
@@ -111,16 +120,15 @@ def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
     act_idx = {a: k for k, a in enumerate(product.mdp.actions)}
     choices = {}
     for key, action in data["choices"].items():
-        try:
-            s_str, q_str = key.split(":")
-            pair = (int(s_str), int(q_str))
-        except ValueError:
-            raise ModelMismatch(f"malformed product state key {key!r}") from None
+        pair = _state_pair(key)
         if pair not in product.index_of:
             raise ModelMismatch(f"policy state {key} is not a reachable product state")
         if not isinstance(action, str) or action not in act_idx:
             raise ModelMismatch(f"policy action {action!r} is not an MDP action")
         i = product.index_of[pair]
+        if i in choices:
+            first = next(k for k in data["choices"] if _state_pair(k) == pair)
+            raise ModelMismatch(f"policy keys {first!r} and {key!r} name the same product state")
         a = act_idx[action]
         if a not in product.available(i):
             raise ModelMismatch(f"action {action!r} unavailable at product state {key}")

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError
-from .mdp import _of_kind, json_index
+from .mdp import _check_unaliased, _of_kind, json_index
 
 _DRA_KEYS = {"states", "ap", "start", "pairs", "trans"}
 
@@ -110,21 +110,29 @@ def from_json_dict(data: dict) -> Dra:
              for s in _of_kind(entry.get("L", []), list, f"{at}.L")]
         K = [json_index(s, "state", key=f"{at}.K") for s in _of_kind(entry["K"], list, f"{at}.K")]
         pairs.append(RabinPair(L=frozenset(L), K=frozenset(K)))
-    delta = {}
+    delta, states = {}, set()
     for state_key, row in _of_kind(data["trans"], dict, "trans").items():
-        try:
-            q = int(state_key)
-        except ValueError:
-            raise ParseError(f"state key {state_key!r} is not an integer",
-                             key=state_key) from None
+        q = _state_key(state_key)
+        states.add(q)
+        symbols = {}
         for sym_key, succ in _of_kind(row, dict, state_key).items():
             sym = parse_symbol_key(sym_key)
             if not sym <= ap_set:
                 raise ParseError(f"symbol {sym_key!r} uses undeclared propositions",
                                  key=sym_key)
-            delta[(q, sym)] = json_index(succ, "successor", key=state_key)
+            symbols[sym] = json_index(succ, "successor", key=state_key)
+        _check_unaliased(row, symbols, parse_symbol_key)
+        delta.update(((q, sym), succ) for sym, succ in symbols.items())
+    _check_unaliased(data["trans"], states, _state_key)
     return Dra(n_states=n, ap=ap, start=json_index(data["start"], "start"),
                pairs=tuple(pairs), delta=delta)
+
+
+def _state_key(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ParseError(f"state key {key!r} is not an integer", key=key) from None
 
 
 def parse_json(text: str) -> Dra:

@@ -227,6 +227,8 @@ def validate(mdp: LabeledMdp) -> ValidationReport:
     for i in mdp.states:
         if i < len(mdp.available) and not mdp.available[i]:
             bad.append(f"no available action at state {i}")
+        elif i < len(mdp.available) and len(set(mdp.available[i])) != len(mdp.available[i]):
+            bad.append(f"repeated action at state {i}")
     for i in mdp.states:
         for a in mdp.available[i] if i < len(mdp.available) else ():
             key = (i, a)
@@ -306,13 +308,17 @@ def from_json_dict(data: dict) -> LabeledMdp:
         labels[i] = frozenset(_of_kind(s.get("label", []), list, "label"))
     actions = tuple(_of_kind(data["actions"], list, "actions"))
     act_idx = {a: k for k, a in enumerate(actions)}
-    available: list[tuple[int, ...]] = [()] * n
+    listed: dict[int, tuple[int, ...]] = {}
     for key, acts in _of_kind(data["available"], dict, "available").items():
         i = _parse_state_key(key, n)
         try:
-            available[i] = tuple(act_idx[a] for a in _of_kind(acts, list, key))
+            listed[i] = tuple(act_idx[a] for a in _of_kind(acts, list, key))
         except KeyError as exc:
             raise ParseError(f"unknown action {exc} at state {i}", key=key) from exc
+        if len(set(listed[i])) != len(listed[i]):
+            raise ParseError(f"repeated action at state {i}", key=key)
+    _check_unaliased(data["available"], listed, lambda k: _parse_state_key(k, n))
+    available = [listed.get(i, ()) for i in range(n)]
     succ, prob = {}, {}
     for key, entries in _of_kind(data["trans"], dict, "trans").items():
         i, a = _parse_pair_key(key, n, act_idx)
@@ -336,10 +342,12 @@ def from_json_dict(data: dict) -> LabeledMdp:
             raise ParseError(f"row sum {s:.10g} != 1", key=key)
         succ[(i, a)] = tuple(support)
         prob[(i, a)] = tuple(row[j] / s for j in support)  # renormalized once at load
+    _check_unaliased(data["trans"], succ, lambda k: _parse_pair_key(k, n, act_idx))
     cost = {}
     for key, c in _of_kind(data["cost"], dict, "cost").items():
         i, a = _parse_pair_key(key, n, act_idx)
         cost[(i, a)] = _json_number(c, "cost", key)
+    _check_unaliased(data["cost"], cost, lambda k: _parse_pair_key(k, n, act_idx))
     init = json_index(data["init"], "init")
     props = frozenset().union(*labels) if labels else frozenset()
     mdp = LabeledMdp(
@@ -414,6 +422,22 @@ def _of_kind(value, kind: type, key: str | None):
         expected = "an object" if kind is dict else "an array"
         raise ParseError(f"expected {expected}, got {type(value).__name__}", key=key)
     return value
+
+
+def _check_unaliased(keys, parsed, parse):
+    """ParseError when two of keys name one entry, that is when parsed,
+    which holds one item per parsed key, is the shorter; the error names
+    the first such pair.  int() reads " 1", "+1" and "1_0" as numbers
+    too, so distinct keys of one JSON object can name one entry, and the
+    later would silently replace the earlier."""
+    if len(parsed) == len(keys):
+        return
+    first = {}
+    for key in keys:
+        entry = parse(key)
+        if entry in first:
+            raise ParseError(f"keys {first[entry]!r} and {key!r} name the same entry", key=key)
+        first[entry] = key
 
 
 def _parse_state_key(key: str, n: int) -> int:

@@ -19,6 +19,10 @@ from .errors import DimensionMismatch, NotStochastic, NotTransient, NumericalFai
 
 DEFAULT_TOL = 1e-8
 RANK_RCOND = 1e-10
+# transient_solve keeps right-hand sides of at most this many columns
+# as Python floats: per entry they cost less than a numpy call per row
+# up to about 12 columns on a 600-state chain, and several times more at 51
+NARROW_COLUMNS = 8
 
 
 @dataclass
@@ -89,51 +93,65 @@ def _tarjan_scc(n, succ) -> list[list[int]]:
     """Strongly connected components by iterative Tarjan (1972), each a
     sorted list, in the order the algorithm closes them: every edge
     leaving a component points into one listed before it (sinks first)."""
+    return list(_closing_components(n, succ))
+
+
+def _closing_components(n, succ):
+    """The components of _tarjan_scc, yielded one at a time as each
+    closes, so a caller can act on a component before the search goes
+    on.  Each frame of the depth-first search holds its own iterator
+    over the children; index[v] is -1 until v is visited, and closed[v]
+    is set once v's component is yielded, so a visited state that is not
+    closed is on the stack.  A component is the top of the stack from
+    its root up, sliced off whole.  The frames are three parallel lists,
+    not a list of tuples: on a deep search a tuple per frame is one more
+    object for the garbage collector to scan at each of its passes."""
     index = [-1] * n
     low = [0] * n
-    on_stack = [False] * n
-    components: list[list[int]] = []
+    closed = [False] * n
     stack: list[int] = []
     counter = 0
     for root in range(n):
-        if index[root] != -1:
+        if index[root] >= 0:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            children = succ[v]
-            while pi < len(children):
-                w = children[pi]
-                pi += 1
-                if index[w] == -1:
-                    work[-1] = (v, pi)
-                    work.append((w, 0))
-                    advanced = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        # frame k: its state, the state's children not yet read, and where
+        # the state sits on the stack (empty between roots)
+        path, children, at = [root], [iter(succ[root])], [0]
+        while path:
+            v = path[-1]
+            for w in children[-1]:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    path.append(w)
+                    children.append(iter(succ[w]))
+                    at.append(len(stack))
+                    stack.append(w)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(sorted(component))
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return components
+                if not closed[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                children.pop()
+                bottom = at.pop()
+                if low[v] == index[v]:
+                    if bottom == len(stack) - 1:
+                        closed[stack.pop()] = True
+                        yield [v]
+                        continue
+                    component = stack[bottom:]
+                    del stack[bottom:]
+                    for w in component:
+                        closed[w] = True
+                    component.sort()
+                    yield component
+                else:  # v's component is still open, so v has a parent frame
+                    u = path[-1]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
 
 
 def stationary_distribution(P) -> np.ndarray:
@@ -222,9 +240,9 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
     Every pivot is the mass leaving its state, exit plus the off-diagonal
     row (Grassmann, Taksar and Heyman, 1985): each row is divided by it
     up front, which leaves a unit diagonal.  The strongly connected
-    components of Q's graph are then solved one at a time in the order
-    Tarjan's algorithm closes them, sinks first, so each reads only rows
-    already solved: a single state by substitution, a larger component
+    components of Q's graph are then solved one at a time as Tarjan's
+    search closes them, sinks first, so each reads only rows already
+    solved: a single state by substitution, a larger component
     by elimination of its own block with every pivot again a sum of the
     masses leaving its state, never a difference.  A component that no
     mass leaves is a closed class, so I - Q is singular: NotTransient.
@@ -245,16 +263,29 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
     X = (rhs[:, np.newaxis] if rhs.ndim == 1 else rhs) / leave[:, np.newaxis]
     ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))).tolist()
     succ = col.tolist()
-    blocks = _tarjan_scc(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)])
-
     weight = val.tolist()
-    rows = list(X)  # views: x_i += w * x_j on rows, with no per-state indexing
+    width = X.shape[1]
+    # x_i += w * x_j on whole rows, with no per-state indexing: lists of
+    # Python floats when the rows are narrow, numpy row views of X
+    # otherwise.  x[k] += w * y[k] is the IEEE product and sum that
+    # x += w * y forms per entry, in the same order: the same bits.
+    narrow = width <= NARROW_COLUMNS
+    rows = X.tolist() if narrow else list(X)
+    columns = range(width)
     local = np.full(n, -1)
-    for block in blocks:  # sinks first: successors outside the block are solved
+    for block in _closing_components(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)]):
+        # sinks first: successors outside the block are solved
         if len(block) == 1:
-            x = rows[block[0]]
-            for e in range(ptr[block[0]], ptr[block[0] + 1]):
-                x += weight[e] * rows[succ[e]]
+            i = block[0]
+            x = rows[i]
+            if narrow:
+                for e in range(ptr[i], ptr[i + 1]):
+                    w, y = weight[e], rows[succ[e]]
+                    for k in columns:
+                        x[k] += w * y[k]
+            else:
+                for e in range(ptr[i], ptr[i + 1]):
+                    x += weight[e] * rows[succ[e]]
             continue
         m = len(block)
         idx = np.array(block)
@@ -265,11 +296,12 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
         at = local[c]
         local[idx] = -1
         inside, out = at >= 0, at < 0
-        G = np.zeros((m, m + 1 + X.shape[1]))  # [Q in the block | mass leaving it | rhs]
+        G = np.zeros((m, m + 1 + width))  # [Q in the block | mass leaving it | rhs]
         G[r[inside], at[inside]] = v[inside]
         G[:, m] = exit[idx] / leave[idx] + np.bincount(r[out], weights=v[out], minlength=m)
-        G[:, m + 1:] = X[idx]
-        np.add.at(G[:, m + 1:], r[out], v[out, np.newaxis] * X[c[out]])
+        G[:, m + 1:] = [rows[i] for i in block]
+        solved = np.array([rows[j] for j in c[out].tolist()]).reshape(-1, width)
+        np.add.at(G[:, m + 1:], r[out], v[out, np.newaxis] * solved)
         for k in range(m):  # the pivot: mass leaving k for later states or the block
             pivot = G[k, k + 1:m + 1].sum()
             if not pivot > 0.0:
@@ -279,5 +311,8 @@ def transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
         x = G[:, m + 1:]
         for k in reversed(range(m)):
             x[k] += G[k, k + 1:m] @ x[k + 1:]
-        X[idx] = x
+        for k, i in enumerate(block):
+            rows[i][:] = x[k].tolist()
+    if narrow:
+        X = np.array(rows).reshape(n, width)
     return X.reshape(rhs.shape)

@@ -12,7 +12,7 @@ if sys.version_info >= (3, 11):
 else:  # pytest depends on tomli before Python 3.11
     import tomli as tomllib
 
-from cyclesynth.cli import main
+from cyclesynth.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -211,6 +211,81 @@ class TestSimulateCommand:
         assert captured.err.startswith("error:") and "cycles" not in captured.out
 
 
+def _write_json(path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _mdp_with(edit):
+    data = json.loads(Path(PD_MDP).read_text())
+    edit(data)
+    return data
+
+
+def _dra_with(edit):
+    data = json.loads(Path(PD_DRA).read_text())
+    edit(data)
+    return data
+
+
+class TestAliasedInput:
+    """Two keys naming one entry, and an action listed twice at a state,
+    are input errors: exit 1 with a one-line message, never a later key
+    silently winning or a traceback."""
+
+    @pytest.mark.parametrize("mdp, dra", [
+        (_mdp_with(lambda d: d["trans"].update({" 1,alpha": d["trans"]["1,alpha"]})), None),
+        (_mdp_with(lambda d: d["cost"].update({"+1,alpha": 7.0})), None),
+        (_mdp_with(lambda d: d["available"].update({"+1": ["alpha"]})), None),
+        (_mdp_with(lambda d: d["available"].update({"1": ["alpha", "alpha", "beta"]})), None),
+        (None, _dra_with(lambda d: d["trans"].update({"+1": d["trans"]["1"]}))),
+        (None, _dra_with(lambda d: d["trans"]["1"].update({"pickup,dropoff": 0}))),
+    ], ids=["trans-key", "cost-key", "available-key", "repeated-action",
+            "dra-state-key", "dra-symbol-key"])
+    def test_synthesize_exit_one(self, tmp_path, capsys, mdp, dra):
+        mdp_path = _write_json(tmp_path / "mdp.json", mdp) if mdp else PD_MDP
+        dra_path = _write_json(tmp_path / "dra.json", dra) if dra else PD_DRA
+        assert main(["synthesize", "--mdp", mdp_path, "--dra", dra_path,
+                     "--pi", "pickup"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_repeated_action_before_a_bad_state(self, tmp_path, capsys):
+        """0 -a-> 1 -a-> 2 with 'a' listed twice at 0, and a task that
+        rejects every run reading 'bad': this died with a KeyError in
+        the end-component decomposition when the repeat loaded."""
+        mdp = {
+            "states": [{"id": 0, "label": ["pi"]}, {"id": 1, "label": []},
+                       {"id": 2, "label": ["bad"]}],
+            "actions": ["a", "b"],
+            "available": {"0": ["a", "a", "b"], "1": ["a"], "2": ["a"]},
+            "trans": {"0,a": [[1, 1.0]], "0,b": [[0, 1.0]], "1,a": [[2, 1.0]],
+                      "2,a": [[2, 1.0]]},
+            "cost": {"0,a": 1.0, "0,b": 1.0, "1,a": 1.0, "2,a": 1.0},
+            "init": 0,
+        }
+        dra = {"states": 2, "ap": ["pi", "bad"], "start": 0,
+               "pairs": [{"L": [1], "K": [0]}],
+               "trans": {"0": {"": 0, "pi": 0, "bad": 1, "bad,pi": 1},
+                         "1": {"": 1, "pi": 1, "bad": 1, "bad,pi": 1}}}
+        assert main(["synthesize", "--mdp", _write_json(tmp_path / "mdp.json", mdp),
+                     "--dra", _write_json(tmp_path / "dra.json", dra), "--pi", "pi"]) == 1
+        assert capsys.readouterr().err.startswith("error: repeated action at state 0")
+
+    def test_aliased_policy_keys_exit_one(self, tmp_path, capsys):
+        policy = tmp_path / "policy.json"
+        assert main(["synthesize", "--mdp", PD_MDP, "--dra", PD_DRA,
+                     "--pi", "pickup", "--out", str(policy)]) == 0
+        data = json.loads(policy.read_text())
+        key = next(iter(data["choices"]))
+        data["choices"]["+" + key] = data["choices"][key]
+        capsys.readouterr()
+        assert main(["simulate", "--mdp", PD_MDP, "--dra", PD_DRA,
+                     "--policy", _write_json(tmp_path / "bad.json", data),
+                     "--stages", "10"]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: policy keys {key!r} and {'+' + key!r} name the same product state")
+
+
 class TestOracleCommand:
     def test_two_amec(self, capsys):
         code = main(["oracle", "--mdp", TWO_AMEC, "--pi", "pi"])
@@ -255,6 +330,17 @@ def _run_entry_point(name: str, args: list[str], cwd: Path):
 
 
 class TestEntryPoint:
+    def test_module_run_from_checkout(self, tmp_path, monkeypatch):
+        """python -m cyclesynth, with src/ on PYTHONPATH and nothing
+        installed, runs the same parser."""
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "cyclesynth", "--help"], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == build_parser().format_help()
+
     def test_console_script(self, tmp_path):
         proc = _run_entry_point("cyclesynth", ["--help"], tmp_path)
         assert proc.returncode == 0, proc.stderr

@@ -152,6 +152,28 @@ class TestJson:
             dra_mod.from_json_dict(data)
 
 
+class TestAliasedKeys:
+    """Keys that name one automaton state, or one symbol of a state, are
+    rejected with both keys named, not read as the later one."""
+
+    @pytest.mark.parametrize("first, second", [("1", "+1"), ("0", " 0"), ("1", "0_1")])
+    def test_aliased_state_keys_rejected(self, first, second):
+        data = dra_mod.to_json_dict(gfg_dra())
+        data["trans"][second] = {"": 1, "g": 1}
+        with pytest.raises(ParseError, match=re.escape(
+                f"keys {first!r} and {second!r} name the same entry (key {second!r})")):
+            dra_mod.from_json_dict(data)
+
+    @pytest.mark.parametrize("first, second", [("dropoff,pickup", "pickup,dropoff"),
+                                               ("pickup", "pickup,pickup")])
+    def test_aliased_symbol_keys_rejected(self, first, second):
+        data = dra_mod.to_json_dict(pickup_delivery_dra())
+        data["trans"]["1"][second] = 0
+        with pytest.raises(ParseError, match=re.escape(
+                f"keys {first!r} and {second!r} name the same entry (key {second!r})")):
+            dra_mod.from_json_dict(data)
+
+
 class TestLtl2dstarV2:
     def test_parse(self):
         d = dra_mod.parse_ltl2dstar(V2_TEXT)

@@ -340,3 +340,44 @@ class TestRejectedInput:
         data[name][key] = value
         with pytest.raises(ParseError, match=f"key '{key}'"):
             mdp_mod.from_json_dict(data)
+
+
+class TestAliasedKeys:
+    """int() reads " 1", "+1" and "0_1" as integers, so two keys of one
+    object can name one entry.  The load names both keys instead of
+    letting the later one replace the earlier one's entry."""
+
+    @pytest.mark.parametrize("name, first, second", [
+        ("trans", "1,a", " 1,a"),
+        ("cost", "1,a", "+1,a"),
+        ("available", "1", "+1"),
+        ("available", "1", "0_1"),
+    ])
+    def test_aliased_keys_rejected(self, name, first, second):
+        data = toy_b_json()
+        data[name][second] = data[name][first]
+        with pytest.raises(ParseError, match=re.escape(
+                f"keys {first!r} and {second!r} name the same entry (key {second!r})")):
+            mdp_mod.from_json_dict(data)
+
+    def test_later_row_and_cost_never_replace_earlier(self):
+        """The reproduction: state 1's row and cost 7.0 came from the
+        second key of each object."""
+        data = toy_b_json()
+        data["trans"][" 1,a"] = [[1, 1.0]]
+        data["cost"]["+1,a"] = 7.0
+        with pytest.raises(ParseError, match="name the same entry"):
+            mdp_mod.from_json_dict(data)
+        del data["trans"][" 1,a"]
+        with pytest.raises(ParseError, match=re.escape("keys '1,a' and '+1,a'")):
+            mdp_mod.from_json_dict(data)
+
+    def test_repeated_action_rejected_at_load(self):
+        data = toy_b_json()
+        data["available"]["0"] = ["a", "a", "b"]
+        with pytest.raises(ParseError, match=re.escape("repeated action at state 0 (key '0')")):
+            mdp_mod.from_json_dict(data)
+
+    def test_validate_reports_repeated_action(self, toy_b):
+        bad = dataclasses.replace(toy_b, available=((0, 0, 1), (0,)))
+        assert mdp_mod.validate(bad).violations == ("repeated action at state 0",)

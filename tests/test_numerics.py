@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -116,10 +117,61 @@ def reach_sets(succ):
 
 
 @st.composite
-def digraphs(draw):
-    n = draw(st.integers(0, 12))
-    return [draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True))
+def digraphs(draw, max_nodes=12, max_degree=4):
+    n = draw(st.integers(0, max_nodes))
+    return [draw(st.lists(st.integers(0, n - 1), max_size=max_degree, unique=True))
             for _ in range(n)]
+
+
+def oracle_tarjan_scc(n, succ) -> list[list[int]]:
+    """The earlier form of numerics._tarjan_scc, kept verbatim as its
+    reference: a (state, child position) work stack and an on_stack
+    flag, each component popped off the stack one state at a time."""
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    components: list[list[int]] = []
+    stack: list[int] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work = [(root, 0)]
+        while work:
+            v, pi = work[-1]
+            if pi == 0:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            children = succ[v]
+            while pi < len(children):
+                w = children[pi]
+                pi += 1
+                if index[w] == -1:
+                    work[-1] = (v, pi)
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                component = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    component.append(w)
+                    if w == v:
+                        break
+                components.append(sorted(component))
+            if work:
+                u, _ = work[-1]
+                low[u] = min(low[u], low[v])
+    return components
 
 
 class TestTarjanScc:
@@ -137,6 +189,13 @@ class TestTarjanScc:
                 assert (where[i] == where[j]) == (j in reach[i] and i in reach[j])
             for j in succ[i]:
                 assert where[j] <= where[i]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(digraphs(), digraphs(max_nodes=40, max_degree=3)))
+    def test_same_components_as_oracle(self, succ):
+        """The same lists in the same closing order, which the solve
+        order of transient_solve and every caller's iteration rely on."""
+        assert numerics._tarjan_scc(len(succ), succ) == oracle_tarjan_scc(len(succ), succ)
 
 
 class TestStationaryDistribution:
@@ -267,12 +326,12 @@ def csr(Q):
 
 
 @st.composite
-def sparse_transient_problems(draw):
+def sparse_transient_problems(draw, max_states=10, widths=st.integers(1, 3)):
     """(Q, exit, rhs): rows of [Q, exit] sum to 1.  The states are cut into
     runs wired as cycles, which are periodic strongly connected blocks
     unless an extra edge lands inside; extra edges, self-loops and
     exits carry weights of 1 down to 1e-12 against the cycle's 1."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_states))
     order = draw(st.permutations(range(n)))
     cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     weight = np.zeros((n, n))
@@ -293,8 +352,66 @@ def sparse_transient_problems(draw):
     out[weight.sum(axis=1) + out == 0.0] = 1.0
     total = weight.sum(axis=1) + out
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    rhs = rng.normal(size=(n, draw(st.integers(1, 3))))
+    rhs = rng.normal(size=(n, draw(widths)))
     return weight / total[:, np.newaxis], out / total, rhs
+
+
+def oracle_transient_solve(indptr, col, val, exit, rhs) -> np.ndarray:
+    """The earlier form of numerics.transient_solve, kept verbatim as its
+    reference: the whole component list first, then every single state
+    substituted on numpy row views of X."""
+    n = len(indptr) - 1
+    rhs = np.asarray(rhs, dtype=float)
+    exit = np.asarray(exit, dtype=float)
+    if rhs.shape[0] != n or exit.shape != (n,):
+        raise DimensionMismatch(f"rhs has {rhs.shape[0]} rows and exit {exit.shape} "
+                                f"entries for {n} states")
+    row = np.repeat(np.arange(n), np.diff(indptr))
+    off = np.asarray(col) != row  # a self-loop only lowers the mass leaving
+    row, col, val = row[off], np.asarray(col)[off], np.asarray(val, dtype=float)[off]
+    leave = exit + np.bincount(row, weights=val, minlength=n)
+    if not np.all(leave > 0.0):
+        raise NotTransient(f"state {int(np.argmin(leave > 0.0))} never leaves itself")
+    val = val / leave[row]
+    X = (rhs[:, np.newaxis] if rhs.ndim == 1 else rhs) / leave[:, np.newaxis]
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n)))).tolist()
+    succ = col.tolist()
+    blocks = oracle_tarjan_scc(n, [succ[ptr[i]:ptr[i + 1]] for i in range(n)])
+
+    weight = val.tolist()
+    rows = list(X)  # views: x_i += w * x_j on rows, with no per-state indexing
+    local = np.full(n, -1)
+    for block in blocks:  # sinks first: successors outside the block are solved
+        if len(block) == 1:
+            x = rows[block[0]]
+            for e in range(ptr[block[0]], ptr[block[0] + 1]):
+                x += weight[e] * rows[succ[e]]
+            continue
+        m = len(block)
+        idx = np.array(block)
+        e = np.concatenate([np.arange(ptr[i], ptr[i + 1]) for i in block])
+        r = np.repeat(np.arange(m), [ptr[i + 1] - ptr[i] for i in block])
+        c, v = col[e], val[e]
+        local[idx] = np.arange(m)
+        at = local[c]
+        local[idx] = -1
+        inside, out = at >= 0, at < 0
+        G = np.zeros((m, m + 1 + X.shape[1]))  # [Q in the block | mass leaving it | rhs]
+        G[r[inside], at[inside]] = v[inside]
+        G[:, m] = exit[idx] / leave[idx] + np.bincount(r[out], weights=v[out], minlength=m)
+        G[:, m + 1:] = X[idx]
+        np.add.at(G[:, m + 1:], r[out], v[out, np.newaxis] * X[c[out]])
+        for k in range(m):  # the pivot: mass leaving k for later states or the block
+            pivot = G[k, k + 1:m + 1].sum()
+            if not pivot > 0.0:
+                raise NotTransient(f"{m} states around state {block[0]} form a closed class")
+            G[k] /= pivot
+            G[k + 1:, k + 1:] += np.outer(G[k + 1:, k], G[k, k + 1:])
+        x = G[:, m + 1:]
+        for k in reversed(range(m)):
+            x[k] += G[k, k + 1:m] @ x[k + 1:]
+        X[idx] = x
+    return X.reshape(rhs.shape)
 
 
 def reaches_exit(Q, exit):
@@ -360,6 +477,23 @@ class TestTransientSolve:
         ref, magnitude = exact[:, :rhs.shape[1]], exact[:, rhs.shape[1]:]
         assert np.all(np.abs(X - ref) <= 4 * n * n * u * magnitude)
 
+    @settings(max_examples=400, deadline=None)
+    @given(sparse_transient_problems(max_states=24, widths=st.sampled_from(
+        [1, 2, numerics.NARROW_COLUMNS, numerics.NARROW_COLUMNS + 1, 40])))
+    def test_same_bits_as_oracle(self, problem):
+        """Bit for bit the oracle's X, for a one-column rhs and for rows
+        on both sides of the narrow rule, and NotTransient with the same
+        message exactly when the oracle raises it."""
+        Q, exit, rhs = problem
+        for b in (rhs, rhs[:, 0]):
+            try:
+                expected = oracle_transient_solve(*csr(Q), exit, b)
+            except NotTransient as exc:
+                with pytest.raises(NotTransient, match=re.escape(str(exc))):
+                    numerics.transient_solve(*csr(Q), exit, b)
+                continue
+            assert np.array_equal(numerics.transient_solve(*csr(Q), exit, b), expected)
+
     def test_single_state_divides_by_exit_mass(self):
         """A self-loop of 1 - eps: the solve divides by eps itself, where
         1 - (1 - eps) has lost four digits at 1e-12."""
@@ -388,3 +522,30 @@ class TestTransientSolve:
     def test_closed_class_raises(self, Q, exit):
         with pytest.raises(NotTransient):
             numerics.transient_solve(*csr(Q), exit, np.ones(len(exit)))
+
+
+class TestLongGraphs:
+    """A path and a cycle of 10^5 states: a recursive search would pass
+    the interpreter's recursion limit of about a thousand frames."""
+
+    N = 10 ** 5
+
+    def test_components_of_path_and_cycle(self):
+        n = self.N
+        path = [[i + 1] for i in range(n - 1)] + [[]]
+        cycle = [[(i + 1) % n] for i in range(n)]
+        found = numerics._tarjan_scc(n, path)
+        assert found == oracle_tarjan_scc(n, path) == [[i] for i in reversed(range(n))]
+        found = numerics._tarjan_scc(n, cycle)
+        assert found == oracle_tarjan_scc(n, cycle) == [list(range(n))]
+
+    @pytest.mark.parametrize("width", [2, numerics.NARROW_COLUMNS + 1])
+    def test_solve_along_a_path(self, width):
+        n = self.N
+        indptr = np.concatenate(([0], np.arange(1, n), [n - 1]))
+        col, val = np.arange(1, n), np.full(n - 1, 0.5)
+        exit = np.full(n, 0.5)
+        exit[-1] = 1.0
+        rhs = np.random.default_rng(width).random((n, width))
+        X = numerics.transient_solve(indptr, col, val, exit, rhs)
+        assert np.array_equal(X, oracle_transient_solve(indptr, col, val, exit, rhs))
