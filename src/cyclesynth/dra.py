@@ -25,10 +25,9 @@ def parse_symbol_key(key: str) -> frozenset[str]:
     return frozenset(key.split(",")) if key else frozenset()
 
 
-def _symbols(ap) -> list[frozenset[str]]:
-    """Every subset of ap; bit b of the list index is the b-th proposition."""
-    return [frozenset(a for b, a in enumerate(ap) if (bits >> b) & 1)
-            for bits in range(2 ** len(ap))]
+def _symbol(ap, bits: int) -> frozenset[str]:
+    """The subset of ap holding the b-th proposition iff bit b of bits is set."""
+    return frozenset(a for b, a in enumerate(ap) if (bits >> b) & 1)
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,7 @@ class Dra:
         return self.delta[(state, frozenset(symbol) & self._ap_set)]
 
     def symbols(self) -> list[frozenset[str]]:
-        return _symbols(self.ap)
+        return [_symbol(self.ap, bits) for bits in range(2 ** len(self.ap))]
 
 
 def _validate(dra: Dra):
@@ -71,9 +70,9 @@ def _validate(dra: Dra):
         for s in pair.L | pair.K:
             if not 0 <= s < dra.n_states:
                 raise InvariantViolation(f"acceptance pair {k} references state {s}")
-    symbols = dra.symbols()
     for q in range(dra.n_states):
-        for sym in symbols:
+        for bits in range(2 ** len(dra.ap)):  # one symbol at a time: stops at the first gap
+            sym = _symbol(dra.ap, bits)
             if (q, sym) not in dra.delta:
                 raise InvariantViolation(
                     f"transition function undefined at state {q}, symbol "
@@ -129,10 +128,15 @@ def from_json_dict(data: dict) -> Dra:
 
 
 def _state_key(key: str) -> int:
+    return _int(key, f"state key {key!r} is not an integer", key=key)
+
+
+def _int(text: str, message: str, **where) -> int:
+    """int(text), or ParseError(message, **where) if text is not an integer."""
     try:
-        return int(key)
+        return int(text)
     except ValueError:
-        raise ParseError(f"state key {key!r} is not an integer", key=key) from None
+        raise ParseError(message, **where) from None
 
 
 def parse_json(text: str) -> Dra:
@@ -161,90 +165,66 @@ def to_json_dict(dra: Dra) -> dict:
 # ---------------------------------------------------------------------------
 
 def parse_ltl2dstar(text: str) -> Dra:
-    """Parse the "DRA v2 explicit" text format.
+    """Parse the "DRA v2 explicit" text format of ltl2dstar in one pass.
 
-    Per-state blocks carry an Acc-Sig line with +k / -k membership marks
-    for K(k) / L(k), followed by 2^|AP| successor lines where bit b of
-    the symbol index is the truth value of the b-th declared AP.
+    `key: value` header lines, each key at most once, run up to `---` or
+    the first `State:` line.  Each state's block is `State: q`, an Acc-Sig
+    line with +k / -k marks for K(k) / L(k), and 2^|AP| successor lines;
+    bit b of a successor's index in its block is the b-th AP's value.
     """
-    lines = text.splitlines()
-    pos = 0
-
-    def next_line():
-        nonlocal pos
-        while pos < len(lines):
-            line = lines[pos].strip()
-            pos += 1
-            if line:
-                return line, pos
-        return None, pos
-
-    line, lineno = next_line()
+    raw = text.splitlines()
+    # (number, stripped text) of each non-blank line, then the end of input
+    lines = [(n, s) for n, s in enumerate(map(str.strip, raw), 1) if s] + [(len(raw), None)]
+    lineno, line = lines[0]
     if line is None or line.split() != ["DRA", "v2", "explicit"]:
         raise ParseError("unsupported version: expected 'DRA v2 explicit' header",
                          line=lineno)
-
-    header: dict[str, str] = {}
+    header: dict[str, tuple[int, str]] = {}
     ap: list[str] = []
-    while True:
-        line, lineno = next_line()
+    for pos, (lineno, line) in enumerate(lines[1:], 1):
         if line is None:
             raise ParseError("truncated header: missing state blocks", line=lineno)
-        if line == "---":
+        if line == "---" or line.startswith("State:"):
             break
-        if line.startswith("State:"):
-            pos -= 1
-            break
-        if ":" not in line:
+        key, colon, value = line.partition(":")
+        if not colon:
             raise ParseError(f"malformed header line {line!r}", line=lineno)
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
+        if key in header:
+            raise ParseError(f"repeated header field {key!r}, first on line "
+                             f"{header[key][0]}", line=lineno)
+        header[key] = lineno, value
         if key == "AP":
-            parts = value.split()
-            try:
-                n_ap = int(parts[0])
-            except (IndexError, ValueError):
-                raise ParseError("malformed AP line", line=lineno) from None
-            names = [p.strip('"') for p in parts[1:]]
-            if len(names) != n_ap:
-                raise ParseError(f"AP count {n_ap} does not match {len(names)} names",
+            count, *ap = value.split() or [""]
+            n_ap = _int(count, "malformed AP line", line=lineno)
+            ap = [a.strip('"') for a in ap]
+            if len(ap) != n_ap:
+                raise ParseError(f"AP count {n_ap} does not match {len(ap)} names",
                                  line=lineno)
-            ap = names
-        else:
-            header[key] = value
-    for required in ("States", "Acceptance-Pairs", "Start"):
+    fields = ("States", "Acceptance-Pairs", "Start")
+    for required in fields:
         if required not in header:
             raise ParseError(f"missing header field {required!r}", line=lineno)
     try:
-        n_states = int(header["States"])
-        n_pairs = int(header["Acceptance-Pairs"])
-        start = int(header["Start"])
+        n_states, n_pairs, start = (int(header[f][1]) for f in fields)
     except ValueError as exc:
         raise ParseError(f"non-integer header field: {exc}", line=lineno) from exc
-
-    symbols = _symbols(ap)
-
+    width = 2 ** len(ap)
     delta: dict[tuple[int, frozenset[str]], int] = {}
     L = [set() for _ in range(n_pairs)]
     K = [set() for _ in range(n_pairs)]
     seen = set()
-    while True:
-        line, lineno = next_line()
-        if line is None:
-            break
+    for pos in range(pos + (line == "---"), len(lines) - 1, 2 + width):
+        lineno, line = lines[pos]
         if not line.startswith("State:"):
             raise ParseError(f"expected a 'State:' block, got {line!r}", line=lineno)
-        try:
-            q = int(line.split()[1])
-        except (IndexError, ValueError):
-            raise ParseError("malformed State line", line=lineno) from None
+        q = _int((line.split() + [""])[1], "malformed State line", line=lineno)
         if not 0 <= q < n_states:
             raise ParseError(f"state index {q} out of range", line=lineno)
         if q in seen:
             raise ParseError(f"duplicate state block {q}", line=lineno)
         seen.add(q)
-        line, lineno = next_line()
+        lineno, line = lines[pos + 1]
         if line is None or not line.startswith("Acc-Sig:"):
             raise ParseError(f"missing Acc-Sig line for state {q}", line=lineno)
         for mark in line[len("Acc-Sig:"):].split():
@@ -255,25 +235,19 @@ def parse_ltl2dstar(text: str) -> Dra:
                 raise ParseError(f"acceptance mark {mark!r} exceeds pair count",
                                  line=lineno)
             (K if mark[0] == "+" else L)[idx].add(q)
-        for sym in symbols:
-            line, lineno = next_line()
+        for bits, (lineno, line) in enumerate(lines[pos + 2:pos + 2 + width]):
             if line is None:
-                raise ParseError(
-                    f"truncated state block {q}: expected {len(symbols)} successors",
-                    line=lineno)
-            try:
-                succ = int(line)
-            except ValueError:
-                raise ParseError(
-                    f"truncated state block {q}: expected a successor index, "
-                    f"got {line!r}", line=lineno) from None
+                raise ParseError(f"truncated state block {q}: expected {width} successors",
+                                 line=lineno)
+            succ = _int(line, f"truncated state block {q}: expected a successor index, "
+                              f"got {line!r}", line=lineno)
             if not 0 <= succ < n_states:
                 raise ParseError(f"successor {succ} out of range", line=lineno)
-            delta[(q, sym)] = succ
+            delta[(q, _symbol(ap, bits))] = succ
     if len(seen) != n_states:
         raise ParseError(f"found {len(seen)} state blocks, expected {n_states}",
-                         line=lineno)
-    pairs = tuple(RabinPair(L=frozenset(L[k]), K=frozenset(K[k])) for k in range(n_pairs))
+                         line=lines[-1][0])
+    pairs = tuple(RabinPair(L=frozenset(Lk), K=frozenset(Kk)) for Lk, Kk in zip(L, K))
     return Dra(n_states=n_states, ap=tuple(ap), start=start, pairs=pairs, delta=delta)
 
 

@@ -127,6 +127,12 @@ class LabeledMdp:
                         break
         return choice
 
+    @cached_property
+    def violations(self) -> tuple[str, ...]:
+        """validate(self).violations, computed on first use and only read
+        afterwards: the JSON loader and synthesize both require none."""
+        return validate(self).violations
+
     def pi_states(self, pi: str) -> frozenset[int]:
         return frozenset(i for i in self.states if pi in self.label[i])
 
@@ -361,9 +367,8 @@ def from_json_dict(data: dict) -> LabeledMdp:
         props=props,
         label=tuple(labels),
     )
-    report = validate(mdp)
-    if not report.ok:
-        raise InvariantViolation("; ".join(report.violations))
+    if mdp.violations:
+        raise InvariantViolation("; ".join(mdp.violations))
     return mdp
 
 

@@ -12,7 +12,7 @@ from random import Random
 from . import acpc, amec as amec_mod
 from .acpc import CycleProblem, PolicyIterationStatus
 from .dra import Dra
-from .errors import NoReachableAmec, NotReachableAlmostSurely
+from .errors import InvariantViolation, NoReachableAmec, NotReachableAlmostSurely
 from .mdp import LabeledMdp, StationaryPolicy
 from .product import ExecutablePolicy, ProductMdp, build_product, project_policy
 
@@ -121,10 +121,13 @@ def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
     reach-check them in (lambda, index) order and stitch the first one
     reached almost surely to its reach policy.  lambda_per_amec holds that
     winner and the components after it, which are never reach-checked.
-    Raises NoReachableAmec when no component with cycle states is reached.
+    Raises InvariantViolation when validate(mdp) reports violations, and
+    NoReachableAmec when no component with cycle states is reached.
     """
     if retries < 0:
         raise ValueError(f"retries must be nonnegative, got {retries}")
+    if mdp.violations:
+        raise InvariantViolation("; ".join(mdp.violations))
     product = build_product(mdp, dra, pi)
     components = amec_mod.accepting_amecs(product)
     if not components:

@@ -3,6 +3,7 @@ fixture, and seeded random communicating cycle problems."""
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -245,6 +246,25 @@ def random_cycle_problem(seed, n_max=6, max_actions=3):
     labels = {i: ["pi"] for i in pi_states}
     mdp = make_mdp(n, actions, rows, costs, labels=labels)
     return CycleProblem(mdp=mdp, pi_states=pi_states), k_states
+
+
+def k_labelled_mdp(seed) -> LabeledMdp:
+    """The MDP of random_cycle_problem(seed) with its K states labelled
+    'k': with k_tracking_dra() the product's accepting states are K."""
+    problem, k_states = random_cycle_problem(seed)
+    mdp = problem.mdp
+    label = tuple(lab | {"k"} if i in k_states else lab for i, lab in enumerate(mdp.label))
+    return dataclasses.replace(mdp, label=label, props=mdp.props | {"k"})
+
+
+def k_tracking_dra() -> Dra:
+    """Two states over ("pi", "k"): every symbol holding k goes to state
+    1, every other to state 0; one pair, K = {1}, L empty."""
+    ap = ("pi", "k")
+    symbols = [frozenset(), frozenset({"pi"}), frozenset({"k"}), frozenset({"pi", "k"})]
+    delta = {(q, sym): int("k" in sym) for q in range(2) for sym in symbols}
+    return Dra(n_states=2, ap=ap, start=0,
+               pairs=(RabinPair(L=frozenset(), K=frozenset({1})),), delta=delta)
 
 
 def write_ltl2dstar(dra, comment=None) -> str:

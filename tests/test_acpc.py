@@ -414,6 +414,28 @@ def test_tree_policy_takes_first_closer_action(problem):
         assert choice[i] == expected, i
 
 
+def test_initial_policy_falls_back_to_a_tree_toward_pi(monkeypatch):
+    """On this problem the tree toward the least K state cannot be
+    repaired, so the initial policy starts from the tree toward the
+    cycle set; policy iteration still reaches the brute-force optimum."""
+    prob, k_states = random_cycle_problem(39, n_max=12, max_actions=4)
+    mdp = prob.mdp
+    assert (mdp.n_states, prob.pi_states, k_states) == (5, {0}, {1, 2, 3, 4})
+    every = np.ones(len(mdp.choices.action), dtype=bool)
+    toward_k = acpc._tree_policy(mdp, {1})
+    assert acpc._constrained_select(prob, toward_k, every, k_states) is None
+    targets = []
+    tree_policy = acpc._tree_policy
+    monkeypatch.setattr(acpc, "_tree_policy",
+                        lambda m, t: targets.append(set(t)) or tree_policy(m, t))
+    result = acpc.policy_iteration(prob, k_states)
+    assert targets == [{1}, {0}]
+    assert result.status is PolicyIterationStatus.OPTIMAL
+    assert result.gain_bias.lam == pytest.approx(8.597824, abs=1e-6)
+    assert result.gain_bias.lam == pytest.approx(acpc.brute_force_acpc(prob, k_states)[1],
+                                                 rel=1e-12)
+
+
 class TestBruteForce:
     def test_toy_b(self, toy_b):
         mu, lam = acpc.brute_force_acpc(problem(toy_b))

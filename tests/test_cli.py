@@ -12,6 +12,9 @@ if sys.version_info >= (3, 11):
 else:  # pytest depends on tomli before Python 3.11
     import tomli as tomllib
 
+from conftest import k_labelled_mdp, k_tracking_dra
+from cyclesynth import dra as dra_mod
+from cyclesynth import mdp as mdp_mod
 from cyclesynth.cli import build_parser, main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -284,6 +287,28 @@ class TestAliasedInput:
                      "--stages", "10"]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: policy keys {key!r} and {'+' + key!r} name the same product state")
+
+
+class TestSuboptimalExit:
+    """Exit code 2: policy iteration from the tree policy stops at
+    lambda 5.931407 on random_cycle_problem(31); five restarts from
+    random initial policies certify lambda 0.871238."""
+
+    def _run(self, tmp_path, *extra):
+        mdp = _write_json(tmp_path / "mdp.json", mdp_mod.to_json_dict(k_labelled_mdp(31)))
+        dra = _write_json(tmp_path / "dra.json", dra_mod.to_json_dict(k_tracking_dra()))
+        return main(["synthesize", "--mdp", mdp, "--dra", dra, "--pi", "pi", *extra])
+
+    def test_exit_two_with_warning(self, tmp_path, capsys):
+        assert self._run(tmp_path) == 2
+        out = capsys.readouterr().out
+        assert "lambda=5.931406" in out and "[notOptimal," in out
+        assert "warning: result is sub-optimal" in out
+
+    def test_retries_exit_zero(self, tmp_path, capsys):
+        assert self._run(tmp_path, "--retries", "5") == 0
+        out = capsys.readouterr().out
+        assert "lambda=0.871237" in out and "[optimal," in out and "warning" not in out
 
 
 class TestOracleCommand:

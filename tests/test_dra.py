@@ -1,4 +1,6 @@
 import re
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from conftest import always_accepting_dra, pickup_delivery_dra, random_dra, writ
 from cyclesynth import dra as dra_mod
 from cyclesynth.dra import Dra, RabinPair, parse_symbol_key, symbol_key
 from cyclesynth.errors import InvariantViolation, ParseError
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def gfg_dra():
@@ -233,3 +237,301 @@ class TestRoundTripProperty:
         d = random_dra(seed)
         assert dra_mod.parse_ltl2dstar(write_ltl2dstar(d)) == d
         assert dra_mod.from_json_dict(dra_mod.to_json_dict(d)) == d
+
+
+class TestLtl2dstarErrors:
+    """Each ParseError of the ltl2dstar reader, with the line it names.
+    Lines of V2_TEXT: 1 version, 2-6 header, 7 '---', 8-11 state 0,
+    12-15 state 1."""
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("DRA v2 explicit", "DRA v1 explicit",
+         "unsupported version: expected 'DRA v2 explicit' header (line 1)"),
+        ("---\nState: 0\nAcc-Sig:\n0\n1\nState: 1\nAcc-Sig: +0\n0\n1\n", "",
+         "truncated header: missing state blocks (line 6)"),
+        ("Start: 0", "Start 0", "malformed header line 'Start 0' (line 5)"),
+        ('AP: 1 "g"', 'AP: one "g"', "malformed AP line (line 6)"),
+        ('AP: 1 "g"', "AP:", "malformed AP line (line 6)"),
+        ('AP: 1 "g"', 'AP: 2 "g"', "AP count 2 does not match 1 names (line 6)"),
+        ("Start: 0\n", "", "missing header field 'Start' (line 6)"),
+        ("States: 2", "States: two",
+         "non-integer header field: invalid literal for int() with base 10: 'two' (line 7)"),
+        ("State: 1", "Stat: 1", "expected a 'State:' block, got 'Stat: 1' (line 12)"),
+        ("State: 1", "State: one", "malformed State line (line 12)"),
+        ("State: 1", "State:1", "malformed State line (line 12)"),
+        ("State: 1", "State: 2", "state index 2 out of range (line 12)"),
+        ("State: 1", "State: 0", "duplicate state block 0 (line 12)"),
+        ("Acc-Sig: +0\n", "", "missing Acc-Sig line for state 1 (line 13)"),
+        ("Acc-Sig: +0", "Acc-Sig: *0", "malformed acceptance mark '*0' (line 13)"),
+        ("Acc-Sig: +0", "Acc-Sig: +3", "acceptance mark '+3' exceeds pair count (line 13)"),
+        ("0\n1\nState: 1", "0\nState: 1",
+         "truncated state block 0: expected a successor index, got 'State: 1' (line 11)"),
+        ("+0\n0\n1\n", "+0\n0\n", "truncated state block 1: expected 2 successors (line 14)"),
+        ("+0\n0\n1\n", "+0\n0\n9\n", "successor 9 out of range (line 15)"),
+        ("States: 2", "States: 3", "found 2 state blocks, expected 3 (line 15)"),
+    ], ids=["version", "truncated-header", "malformed-header-line", "malformed-ap",
+            "empty-ap", "ap-count", "missing-field", "non-integer-field", "not-a-state-line",
+            "malformed-state", "state-without-space", "state-out-of-range", "duplicate-state",
+            "missing-acc-sig", "malformed-mark", "mark-beyond-pairs", "successor-not-integer",
+            "truncated-block", "successor-out-of-range", "missing-blocks"])
+    def test_error(self, old, new, message):
+        text = V2_TEXT.replace(old, new, 1)
+        with pytest.raises(ParseError) as err:
+            dra_mod.parse_ltl2dstar(text)
+        assert str(err.value) == message
+        assert err.value.line == int(message.rsplit(" ", 1)[1].rstrip(")"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "unsupported version: expected 'DRA v2 explicit' header (line 0)"),
+        ("\n \n", "unsupported version: expected 'DRA v2 explicit' header (line 2)"),
+        (V2_TEXT.split("---")[0] + "\n\n", "truncated header: missing state blocks (line 8)"),
+        (V2_TEXT[:-2] + "\n \n", "truncated state block 1: expected 2 successors (line 16)"),
+        (V2_TEXT.replace("States: 2", "States: 3") + "\n\t\n",
+         "found 2 state blocks, expected 3 (line 17)"),
+    ], ids=["empty", "blank", "header", "state-block", "block-count"])
+    def test_end_of_input_is_its_last_line(self, text, message):
+        """An error at the end of the input names its last line, blank
+        or not."""
+        with pytest.raises(ParseError) as err:
+            dra_mod.parse_ltl2dstar(text)
+        assert str(err.value) == message
+
+    def test_header_may_end_at_the_first_state_line(self):
+        assert dra_mod.parse_ltl2dstar(V2_TEXT.replace("---\n", "")) == gfg_dra()
+
+    @pytest.mark.parametrize("field, line, first", [
+        ("States", "States: 2", 3), ("Acceptance-Pairs", "Acceptance-Pairs: 1", 4),
+        ("Start", "Start: 1", 5), ("AP", 'AP: 2 "q0" "q1"', 6)],
+        ids=["States", "Acceptance-Pairs", "Start", "AP"])
+    def test_repeated_header_field(self, field, line, first):
+        """A second value for a field is an error, not a silent override."""
+        text = V2_TEXT.replace("---", f"{line}\n---")
+        with pytest.raises(ParseError) as err:
+            dra_mod.parse_ltl2dstar(text)
+        assert str(err.value) == (
+            f"repeated header field {field!r}, first on line {first} (line 7)")
+        assert err.value.line == 7
+
+
+class TestManyPropositions:
+    """A file declaring 16 propositions but holding one transition is
+    rejected before the 2^16 symbols exist, in either format."""
+
+    AP = [f"p{k}" for k in range(16)]
+
+    def _peak(self, parse, error, message):
+        tracemalloc.start()
+        try:
+            with pytest.raises(error) as err:
+                parse()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == message
+        return peak
+
+    def test_ltl2dstar(self):
+        text = ("DRA v2 explicit\nStates: 1\nAcceptance-Pairs: 1\nStart: 0\n"
+                f"AP: 16 {' '.join(map(repr, self.AP))}\n---\nState: 0\nAcc-Sig: +0\n0\n")
+        peak = self._peak(lambda: dra_mod.parse_ltl2dstar(text), ParseError,
+                          "truncated state block 0: expected 65536 successors (line 9)")
+        assert peak < 1 << 20
+
+    def test_json(self):
+        data = {"states": 1, "ap": self.AP, "start": 0, "pairs": [{"K": [0]}],
+                "trans": {"0": {"": 0}}}
+        peak = self._peak(lambda: dra_mod.from_json_dict(data), InvariantViolation,
+                          "transition function undefined at state 0, symbol {p0}")
+        assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# Differential check against the ltl2dstar reader as it was before its
+# one-pass rewrite, kept verbatim but for its name
+# ---------------------------------------------------------------------------
+
+def _symbols(ap) -> list[frozenset[str]]:
+    """Every subset of ap; bit b of the list index is the b-th proposition."""
+    return [frozenset(a for b, a in enumerate(ap) if (bits >> b) & 1)
+            for bits in range(2 ** len(ap))]
+
+
+def oracle_parse_ltl2dstar(text: str) -> Dra:
+    """Parse the "DRA v2 explicit" text format.
+
+    Per-state blocks carry an Acc-Sig line with +k / -k membership marks
+    for K(k) / L(k), followed by 2^|AP| successor lines where bit b of
+    the symbol index is the truth value of the b-th declared AP.
+    """
+    lines = text.splitlines()
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(lines):
+            line = lines[pos].strip()
+            pos += 1
+            if line:
+                return line, pos
+        return None, pos
+
+    line, lineno = next_line()
+    if line is None or line.split() != ["DRA", "v2", "explicit"]:
+        raise ParseError("unsupported version: expected 'DRA v2 explicit' header",
+                         line=lineno)
+
+    header: dict[str, str] = {}
+    ap: list[str] = []
+    while True:
+        line, lineno = next_line()
+        if line is None:
+            raise ParseError("truncated header: missing state blocks", line=lineno)
+        if line == "---":
+            break
+        if line.startswith("State:"):
+            pos -= 1
+            break
+        if ":" not in line:
+            raise ParseError(f"malformed header line {line!r}", line=lineno)
+        key, _, value = line.partition(":")
+        key = key.strip()
+        value = value.strip()
+        if key == "AP":
+            parts = value.split()
+            try:
+                n_ap = int(parts[0])
+            except (IndexError, ValueError):
+                raise ParseError("malformed AP line", line=lineno) from None
+            names = [p.strip('"') for p in parts[1:]]
+            if len(names) != n_ap:
+                raise ParseError(f"AP count {n_ap} does not match {len(names)} names",
+                                 line=lineno)
+            ap = names
+        else:
+            header[key] = value
+    for required in ("States", "Acceptance-Pairs", "Start"):
+        if required not in header:
+            raise ParseError(f"missing header field {required!r}", line=lineno)
+    try:
+        n_states = int(header["States"])
+        n_pairs = int(header["Acceptance-Pairs"])
+        start = int(header["Start"])
+    except ValueError as exc:
+        raise ParseError(f"non-integer header field: {exc}", line=lineno) from exc
+
+    symbols = _symbols(ap)
+
+    delta: dict[tuple[int, frozenset[str]], int] = {}
+    L = [set() for _ in range(n_pairs)]
+    K = [set() for _ in range(n_pairs)]
+    seen = set()
+    while True:
+        line, lineno = next_line()
+        if line is None:
+            break
+        if not line.startswith("State:"):
+            raise ParseError(f"expected a 'State:' block, got {line!r}", line=lineno)
+        try:
+            q = int(line.split()[1])
+        except (IndexError, ValueError):
+            raise ParseError("malformed State line", line=lineno) from None
+        if not 0 <= q < n_states:
+            raise ParseError(f"state index {q} out of range", line=lineno)
+        if q in seen:
+            raise ParseError(f"duplicate state block {q}", line=lineno)
+        seen.add(q)
+        line, lineno = next_line()
+        if line is None or not line.startswith("Acc-Sig:"):
+            raise ParseError(f"missing Acc-Sig line for state {q}", line=lineno)
+        for mark in line[len("Acc-Sig:"):].split():
+            if len(mark) < 2 or mark[0] not in "+-" or not mark[1:].isdigit():
+                raise ParseError(f"malformed acceptance mark {mark!r}", line=lineno)
+            idx = int(mark[1:])
+            if idx >= n_pairs:
+                raise ParseError(f"acceptance mark {mark!r} exceeds pair count",
+                                 line=lineno)
+            (K if mark[0] == "+" else L)[idx].add(q)
+        for sym in symbols:
+            line, lineno = next_line()
+            if line is None:
+                raise ParseError(
+                    f"truncated state block {q}: expected {len(symbols)} successors",
+                    line=lineno)
+            try:
+                succ = int(line)
+            except ValueError:
+                raise ParseError(
+                    f"truncated state block {q}: expected a successor index, "
+                    f"got {line!r}", line=lineno) from None
+            if not 0 <= succ < n_states:
+                raise ParseError(f"successor {succ} out of range", line=lineno)
+            delta[(q, sym)] = succ
+    if len(seen) != n_states:
+        raise ParseError(f"found {len(seen)} state blocks, expected {n_states}",
+                         line=lineno)
+    pairs = tuple(RabinPair(L=frozenset(L[k]), K=frozenset(K[k])) for k in range(n_pairs))
+    return Dra(n_states=n_states, ap=tuple(ap), start=start, pairs=pairs, delta=delta)
+
+
+MUTATION_BASES = ([p.read_text() for p in sorted((FIXTURES / "v2").glob("*.dra"))]
+                  + [(FIXTURES / "pickup_delivery.dra").read_text()])
+# replacement lines: every fixture line, and lines near the format's edges
+MUTATION_LINES = sorted({line for text in MUTATION_BASES for line in text.splitlines()}
+                        | {"", "  ", "---", "State:", "State: 7", "State: -1", "State: +1",
+                           "Acc-Sig:", "Acc-Sig: +1 -0", "Acc-Sig: +", "States: 0",
+                           "Start: 9", "AP: 0", "AP:", "AP: x", "Acceptance-Pairs: 0",
+                           "Acceptance-Pairs: 2", "+1", "1_0", "-1", " 2 ", "x", "Comment",
+                           "DRA v2 explicit"})
+
+
+@st.composite
+def mutated_ltl2dstar(draw):
+    text = draw(st.sampled_from(MUTATION_BASES)
+                | st.integers(0, 2 ** 31 - 1).map(lambda s: write_ltl2dstar(random_dra(s))))
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["delete", "duplicate", "insert", "replace"]))
+        if not lines:
+            op = "insert"
+        at = draw(st.integers(0, len(lines) - (op != "insert")))
+        new = draw(st.sampled_from(MUTATION_LINES)
+                   | st.text(alphabet=" :+-0123456789\"SAPe", max_size=8))
+        if op == "delete":
+            del lines[at]
+        elif op == "duplicate":
+            lines.insert(at, lines[at])
+        elif op == "insert":
+            lines.insert(at, new)
+        else:
+            lines[at] = new
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:  # any exception: type, message and line must agree
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+class TestAgainstOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(mutated_ltl2dstar())
+    def test_same_result_as_the_old_reader(self, text):
+        """The same Dra, or the same error type, message and line, on
+        every input but one with a repeated header field: that now fails
+        at the repeat, naming both lines."""
+        new = _outcome(dra_mod.parse_ltl2dstar, text)
+        repeated = re.fullmatch(r"repeated header field '(.*)', first on line (\d+) "
+                                r"\(line (\d+)\)", new[1]) if isinstance(new, tuple) else None
+        if repeated:
+            field, first, again = repeated.groups()
+            for lineno in (int(first), int(again)):
+                assert text.splitlines()[lineno - 1].partition(":")[0].strip() == field
+            return
+        assert new == _outcome(oracle_parse_ltl2dstar, text)
+
+    @pytest.mark.parametrize("text", MUTATION_BASES)
+    def test_fixtures_unmutated(self, text):
+        assert (_outcome(dra_mod.parse_ltl2dstar, text)
+                == _outcome(oracle_parse_ltl2dstar, text))

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import (
     always_accepting_dra,
+    k_labelled_mdp,
+    k_tracking_dra,
     make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
@@ -22,8 +24,8 @@ from conftest import (
 from cyclesynth import acpc, sim
 from cyclesynth import mdp as mdp_mod
 from cyclesynth.acpc import PolicyIterationStatus
-from cyclesynth.dra import Dra
-from cyclesynth.errors import NoReachableAmec, NotReachableAlmostSurely
+from cyclesynth.dra import Dra, RabinPair
+from cyclesynth.errors import InvariantViolation, NoReachableAmec, NotReachableAlmostSurely
 from cyclesynth.synth import amec_cycle_problem, synthesize
 from cyclesynth import amec as amec_mod
 from cyclesynth.product import build_product
@@ -266,6 +268,42 @@ class TestSynthesize:
     def test_negative_retries_rejected(self):
         with pytest.raises(ValueError, match="retries"):
             synthesize(two_amec_mdp(), always_accepting_dra(), "pi", retries=-4)
+
+    @pytest.mark.parametrize("seed, retries, optimal, lam", [
+        (31, 0, False, 5.931407), (31, 5, True, 0.871238),
+        (14, 0, False, 5.354200), (14, 5, False, 1.505766)])
+    def test_retries_from_random_initial_policies(self, seed, retries, optimal, lam):
+        """Policy iteration from the tree policy stops short of optimal
+        on these problems; restarts from random initial policies keep the
+        best result, and on seed 31 one of them certifies the optimum."""
+        result = synthesize(k_labelled_mdp(seed), k_tracking_dra(), "pi", retries=retries)
+        assert result.optimal is optimal
+        assert result.optimal_cost == pytest.approx(lam, abs=1e-6)
+
+    def test_invalid_model_rejected_with_validate_messages(self):
+        """0 -a-> 1 -a-> 2 with 'a' listed twice at 0, built in code: the
+        end-component decomposition died on it with a bare KeyError."""
+        mdp = make_mdp(3, ["a", "b"],
+                       rows={(0, "a"): [(1, 1.0)], (0, "b"): [(0, 1.0)],
+                             (1, "a"): [(2, 1.0)], (2, "a"): [(2, 1.0)]},
+                       costs={(0, "a"): 1.0, (0, "b"): 1.0, (1, "a"): 1.0, (2, "a"): 1.0},
+                       labels={0: ["pi"], 2: ["bad"]})
+        mdp = dataclasses.replace(mdp, available=((0, 0, 1), (0,), (0,)))
+        symbols = [frozenset(), frozenset({"pi"}), frozenset({"bad"}), frozenset({"pi", "bad"})]
+        dra = Dra(n_states=2, ap=("pi", "bad"), start=0,
+                  pairs=(RabinPair(L=frozenset({1}), K=frozenset({0})),),
+                  delta={(q, s): int(q == 1 or "bad" in s) for q in range(2) for s in symbols})
+        assert mdp_mod.validate(mdp).violations == ("repeated action at state 0",)
+        with pytest.raises(InvariantViolation, match="^repeated action at state 0$"):
+            synthesize(mdp, dra, "pi")
+
+    def test_validated_once_per_model(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(mdp_mod, "validate", recording(calls, "validate", mdp_mod.validate))
+        mdp = mdp_mod.from_json_dict(mdp_mod.to_json_dict(two_amec_mdp()))
+        for _ in range(2):
+            synthesize(mdp, always_accepting_dra(), "pi")
+        assert len(calls) == 1
 
 
 def recording(log, name, fn):
