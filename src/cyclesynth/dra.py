@@ -228,7 +228,7 @@ def parse_ltl2dstar(text: str) -> Dra:
         if line is None or not line.startswith("Acc-Sig:"):
             raise ParseError(f"missing Acc-Sig line for state {q}", line=lineno)
         for mark in line[len("Acc-Sig:"):].split():
-            if len(mark) < 2 or mark[0] not in "+-" or not mark[1:].isdigit():
+            if len(mark) < 2 or mark[0] not in "+-" or not mark[1:].isdecimal():
                 raise ParseError(f"malformed acceptance mark {mark!r}", line=lineno)
             idx = int(mark[1:])
             if idx >= n_pairs:

@@ -120,29 +120,33 @@ class ExecutablePolicy:
     """Controller for the original MDP that tracks the automaton state
     online.  Stationary on the product, generally non-stationary on the
     MDP.  `act` returns the control for the current MDP state and
-    advances the tracked automaton state."""
+    advances the tracked automaton state.  Tables: `index` maps s * n_q + q
+    to the product state of (s, q); `choice` and `q_next` are per product state."""
 
     def __init__(self, product: ProductMdp, policy_on_product: StationaryPolicy):
         self.product = product
         self.policy = policy_on_product
+        self.n_q = n_q = product.dra.n_states
+        self.index = {s * n_q + q: i for (s, q), i in product.index_of.items()}
+        self.choice = [policy_on_product.action(i) for i in product.states]
+        self.q_next = product.q_next
         self.q = product.dra.start
 
     def reset(self):
         self.q = self.product.dra.start
 
     def current_product_state(self, s: int) -> int:
-        key = (s, self.q)
-        if key not in self.product.index_of:
+        i = self.index.get(s * self.n_q + self.q)
+        if i is None:
             raise UntrackedState(
                 f"run left the pruned product at MDP state {s}, automaton state "
                 f"{self.q}; the model and policy do not match")
-        return self.product.index_of[key]
+        return i
 
     def act(self, s: int) -> int:
         i = self.current_product_state(s)
-        u = self.policy.action(i)
-        self.q = self.product.q_next[i]
-        return u
+        self.q = self.q_next[i]
+        return self.choice[i]
 
 
 def project_policy(product: ProductMdp, policy_on_product: StationaryPolicy) -> ExecutablePolicy:

@@ -142,20 +142,46 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     return replace(report, pair_counters=pairs)
 
 
+class _Rows(dict):
+    """Values built by `build` on first lookup; a hit is the dict's own lookup."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Untracked(int):
+    """A spare state past the product's for a pair (s, q) the controller
+    does not track (the second, n + 1, if s is a cycle state); its row raises."""
+
+
 def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages: int,
                         seed: int, pi_states) -> SimReport:
-    """Run a product-tracking controller directly on the MDP.  Uses the
-    same sampling scheme as simulate_product, so costs agree exactly for
-    the same seed."""
-    rows = {}
-    act = controller.act
+    """Run a product-tracking controller on the MDP through the tracked
+    product states.  At a state's first visit the controller acts once,
+    and the state's row is its MDP row's sampler with the successors
+    mapped through the controller's `index`; the product's rows are never
+    read.  The draws are simulate_product's, so costs agree exactly."""
+    index, n_q, pairs_of = controller.index, controller.n_q, controller.product.pairs_of
+    n = len(pairs_of)
+    pi_set = frozenset(pi_states)
+    samplers = _Rows(lambda key: _row(mdp, key))  # one per MDP row
 
-    def row_of(s):
-        key = (s, act(s))
-        row = rows.get(key)
-        if row is None:
-            row = rows[key] = _row(mdp, key)
-        return row
+    def tracked(s, q):
+        i = index.get(s * n_q + q)
+        if i is None:
+            i = _Untracked(n + (s in pi_set))
+            i.s, i.q = s, q
+        return i
 
-    controller.reset()
-    return _run(row_of, mdp.init, mdp.n_states, n_stages, seed, pi_states)[0]
+    def build(i):
+        s, controller.q = (i.s, i.q) if isinstance(i, _Untracked) else pairs_of[i]
+        cum, succ, cost = samplers[s, controller.act(s)]  # UntrackedState if untracked
+        return cum, tuple(tracked(s2, controller.q) for s2 in succ), cost
+
+    cycle = {tracked(s, q) for s in pi_set for q in range(n_q)}
+    start = tracked(mdp.init, controller.product.dra.start)
+    return _run(_Rows(build).__getitem__, start, n + 2, n_stages, seed, cycle)[0]

@@ -264,6 +264,7 @@ class TestLtl2dstarErrors:
         ("Acc-Sig: +0\n", "", "missing Acc-Sig line for state 1 (line 13)"),
         ("Acc-Sig: +0", "Acc-Sig: *0", "malformed acceptance mark '*0' (line 13)"),
         ("Acc-Sig: +0", "Acc-Sig: +3", "acceptance mark '+3' exceeds pair count (line 13)"),
+        ("Acc-Sig: +0", "Acc-Sig: +\u00b2", "malformed acceptance mark '+\u00b2' (line 13)"),
         ("0\n1\nState: 1", "0\nState: 1",
          "truncated state block 0: expected a successor index, got 'State: 1' (line 11)"),
         ("+0\n0\n1\n", "+0\n0\n", "truncated state block 1: expected 2 successors (line 14)"),
@@ -272,7 +273,8 @@ class TestLtl2dstarErrors:
     ], ids=["version", "truncated-header", "malformed-header-line", "malformed-ap",
             "empty-ap", "ap-count", "missing-field", "non-integer-field", "not-a-state-line",
             "malformed-state", "state-without-space", "state-out-of-range", "duplicate-state",
-            "missing-acc-sig", "malformed-mark", "mark-beyond-pairs", "successor-not-integer",
+            "missing-acc-sig", "malformed-mark", "mark-beyond-pairs", "superscript-mark",
+            "successor-not-integer",
             "truncated-block", "successor-out-of-range", "missing-blocks"])
     def test_error(self, old, new, message):
         text = V2_TEXT.replace(old, new, 1)

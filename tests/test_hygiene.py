@@ -1,7 +1,8 @@
 """Source hygiene checks that need no linter: every import is used,
 every private module-level function in src/ is referenced from src/,
-and every public module-level function or class in src/ is exported or
-referenced from src/, tests/ or bench/."""
+every public module-level function or class in src/ is exported or
+referenced from src/, tests/ or bench/, and only sim._run loops over
+the stage count."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,35 @@ def test_no_unused_public_names():
     package = {str(p.relative_to(REPO)): p.read_text() for p in PACKAGE}
     readers = {str(p.relative_to(REPO)): p.read_text() for p in READERS}
     assert unused_public_names(package, readers, cyclesynth.__all__) == []
+
+
+def stage_loops(source: str) -> list[str]:
+    """Functions of `source` that loop over the stage count: a for,
+    while or comprehension whose iterable or condition reads `n_stages`.
+    A loop in a nested function counts for each enclosing function."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            header = (node.iter if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+                      else node.test if isinstance(node, ast.While) else None)
+            if header is not None and any(isinstance(n, ast.Name) and n.id == "n_stages"
+                                          for n in ast.walk(header)):
+                found.append(func.name)
+    return found
+
+
+def test_detects_stage_loop():
+    source = ("def _run(n_stages):\n    for _ in range(n_stages):\n        pass\n\n"
+              "def other(n_stages):\n    k = 0\n    while k < n_stages:\n        k += 1\n"
+              "    return [0 for _ in range(n_stages)]\n\n"
+              "def outer(n_stages, rows):\n    def inner():\n"
+              "        return {k for k in range(2 * n_stages)}\n"
+              "    return [r for r in rows], _run(n_stages), inner()\n")
+    assert stage_loops(source) == ["_run", "other", "other", "outer", "inner"]
+
+
+def test_one_simulation_loop():
+    """Every simulator runs through sim._run, the one stepping loop."""
+    assert stage_loops((REPO / "src" / "cyclesynth" / "sim.py").read_text()) == ["_run"]

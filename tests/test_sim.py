@@ -1,6 +1,13 @@
+import dataclasses
 import json
+import re
+from bisect import bisect_left
+from itertools import accumulate, islice
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     always_accepting_dra,
@@ -8,13 +15,15 @@ from conftest import (
     pickup_delivery_dra,
     pickup_delivery_mdp,
     random_cycle_problem,
+    random_dra,
     single_policy,
 )
 from cyclesynth import acpc, sim
 from cyclesynth.acpc import CycleProblem
 from cyclesynth.dra import Dra, RabinPair
+from cyclesynth.errors import UntrackedState
 from cyclesynth.mdp import StationaryPolicy
-from cyclesynth.product import build_product
+from cyclesynth.product import ExecutablePolicy, build_product, project_policy
 from cyclesynth.synth import synthesize
 
 
@@ -41,6 +50,23 @@ def detour_product():
                              for i in product.states})
     component = frozenset(product.index_of[(s, 0)] for s in (1, 2))
     return product, go, stay, component
+
+
+def controller_steps(mdp, controller, seed, pi_states):
+    """Reference for simulate_executable: the controller acts at every
+    step, and the MDP row is sampled with simulate's draws.  Yields
+    (total cost, cycles) after each stage, for as long as it is asked."""
+    uniform = Random(seed).random
+    controller.reset()
+    s, total, cycles = mdp.init, 0.0, 1
+    while True:
+        key = (s, controller.act(s))
+        cum = list(accumulate(mdp.prob[key]))
+        cum[-1] = 1.0
+        total += mdp.cost[key]
+        s = mdp.succ[key][bisect_left(cum, uniform())]
+        cycles += s in pi_states
+        yield total, cycles
 
 
 def _golden_runs():
@@ -218,3 +244,79 @@ class TestSimulateProduct:
         lifted = sim.simulate_product(product, mu, 1000, seed=9)
         assert plain.total_cost == lifted.total_cost
         assert plain.cycles == lifted.cycles
+
+    def test_untracked_pair_raises_when_reached(self):
+        """Cell 5 reads dropoff, so the automaton is idle on leaving it; an
+        extra edge from cell 5 to cell 1 reaches (1, idle), which the
+        product never tracks.  The run raises when it gets there, and a
+        run that never samples the edge finishes."""
+        mdp, _dra, result = self._solved()
+        alpha = mdp.actions.index("alpha")
+        leaky = dataclasses.replace(
+            mdp, succ={**mdp.succ, (5, alpha): (1, 5, 6)},
+            prob={**mdp.prob, (5, alpha): (0.05, 0.1, 0.85)})
+        pi = mdp.pi_states("pickup")
+        controller = result.executable()
+        message = ("run left the pruned product at MDP state 1, automaton state 0; "
+                   "the model and policy do not match")
+
+        def completed(seed, n_stages):
+            """The per-step loop's reports until the controller cannot act."""
+            done = []
+            try:
+                done.extend(islice(controller_steps(leaky, controller, seed, pi), n_stages))
+            except UntrackedState as err:
+                assert str(err) == message
+            return done
+
+        done = completed(1, 10_000)
+        stage = len(done)  # the first stage at which the controller cannot act
+        assert 0 < stage < 10_000
+        report = sim.simulate_executable(leaky, controller, stage, seed=1, pi_states=pi)
+        assert (report.total_cost, report.cycles) == done[-1]
+        with pytest.raises(UntrackedState, match=re.escape(message)):
+            sim.simulate_executable(leaky, controller, stage + 1, seed=1, pi_states=pi)
+
+        seed = next(seed for seed in range(2, 100) if len(completed(seed, stage + 1)) > stage)
+        done = completed(seed, stage + 1)
+        report = sim.simulate_executable(leaky, controller, stage + 1, seed, pi_states=pi)
+        assert (report.total_cost, report.cycles) == done[-1]
+
+    def test_product_rows_are_not_read(self):
+        """The executable run is built from the controller's tables and
+        the MDP: a product whose own model has no rows gives the same
+        report as simulate_product on the real product."""
+        mdp, _dra, result = self._solved()
+        product, policy = result.product, result.stitched_policy
+        hollow = dataclasses.replace(
+            product, model=dataclasses.replace(product.model, succ={}, prob={}, cost={}))
+        executable = sim.simulate_executable(mdp, ExecutablePolicy(hollow, policy), 20_000,
+                                             seed=8, pi_states=mdp.pi_states("pickup"))
+        reference = sim.simulate_product(product, policy, 20_000, seed=8)
+        assert executable == dataclasses.replace(reference, pair_counters=())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 31 - 1))
+def test_executable_matches_per_step_controller_and_product(seed, run_seed):
+    """On a random cycle problem relabeled over a random automaton's
+    propositions, under a random product policy, the per-step controller
+    loop, simulate_executable and simulate_product give the same cost and
+    cycle count for the same seed."""
+    problem, _k = random_cycle_problem(seed)
+    dra = random_dra(seed)
+    rng = Random(seed)
+    pi = dra.ap[0]
+    label = tuple(frozenset([pi] * (s in problem.pi_states)
+                            + [a for a in dra.ap[1:] if rng.random() < 0.5])
+                  for s in problem.mdp.states)
+    mdp = dataclasses.replace(problem.mdp, label=label, props=frozenset(dra.ap))
+    product = build_product(mdp, dra, pi)
+    policy = StationaryPolicy({i: rng.choice(product.available(i)) for i in product.states})
+    controller = project_policy(product, policy)
+    pi_states = mdp.pi_states(pi)
+    *_, expected = islice(controller_steps(mdp, controller, run_seed, pi_states), 300)
+    executable = sim.simulate_executable(mdp, controller, 300, run_seed, pi_states)
+    lifted = sim.simulate_product(product, policy, 300, run_seed)
+    assert (executable.total_cost, executable.cycles) == expected
+    assert (lifted.total_cost, lifted.cycles) == expected
