@@ -24,7 +24,6 @@ from .errors import (
     NotCommunicating,
     NotTransient,
     NumericalFailure,
-    PolicyIncomplete,
     TooLarge,
 )
 from .mdp import LabeledMdp, StationaryPolicy, is_communicating, is_proper
@@ -93,8 +92,6 @@ class PolicyIterationResult:
 
 
 def split_kernel(problem: CycleProblem, mu: StationaryPolicy) -> SplitKernel:
-    if not mu.defined_on(problem.mdp.states):
-        raise PolicyIncomplete("policy must be total")
     P, _ = problem.mdp.policy_matrices(mu)
     mask = problem.pi_mask()
     left = P * mask[np.newaxis, :]
@@ -110,9 +107,8 @@ def _first_return(problem: CycleProblem, mu: StationaryPolicy):
     P and R apply P_mu and R to a vector, X[:, :-1] is the first-return
     kernel on the columns pi and X[:, -1] the cycle cost."""
     mdp = problem.mdp
-    cm = mdp.choices
-    rows = cm.rows_of(_as_choice(mdp, mu))
-    indptr, col, prob = cm.chain(rows)
+    rows = mdp.rows_of([mu.action(i) for i in mdp.states])
+    indptr, col, prob = mdp.chain(rows)
     n = mdp.n_states
     mask = problem.pi_mask()
     pi = np.flatnonzero(mask)
@@ -121,7 +117,7 @@ def _first_return(problem: CycleProblem, mu: StationaryPolicy):
     stay = ~into
     rhs = np.zeros((n, len(pi) + 1))
     rhs[row[into], np.searchsorted(pi, col[into])] = prob[into]
-    g = cm.cost[rows]
+    g = mdp.cost[rows]
     rhs[:, -1] = g
     r_row, r_col, r_prob = row[stay], col[stay], prob[stay]
     r_ptr = np.concatenate(([0], np.cumsum(np.bincount(r_row, minlength=n))))
@@ -250,10 +246,10 @@ def acpc_optimality_check(problem: CycleProblem, lam: float, h,
                         + lam * sum_{j not in cycle set} P(i,u,j)],
     within tol * max(1, |lam|).
     """
-    cm = problem.mdp.choices
+    mdp = problem.mdp
     h = np.asarray(h, dtype=float)
     # h(j) plus lam for a successor outside the cycle set
-    best = cm.segment_min(cm.cost + cm.expect(h + lam * ~problem.pi_mask()))
+    best = mdp.segment_min(mdp.cost + mdp.expect(h + lam * ~problem.pi_mask()))
     return bool(np.all(np.abs(lam + h - best) <= _gain_scaled(tol, lam)))
 
 
@@ -278,7 +274,7 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
         raise NotCommunicating("per-cycle policy iteration requires a communicating MDP")
 
     if init is not None:
-        choice = _as_choice(mdp, init)
+        choice = tuple(init.action(i) for i in mdp.states)
         classes = _chain_classes(mdp, choice)
         proper_ok, _, _ = _policy_conditions(problem, classes, k_states)
         if not proper_ok:
@@ -286,9 +282,8 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
     else:
         choice, classes = _initial_policy(problem, k_states)
 
-    cm = mdp.choices
     out_mask = ~problem.pi_mask()
-    no_action = np.iinfo(cm.action.dtype).max
+    no_action = np.iinfo(mdp.action.dtype).max
     cap = max(10 * mdp.n_states, 20)
     for iteration in range(cap):
         mu = StationaryPolicy(dict(enumerate(choice)))
@@ -298,17 +293,17 @@ def policy_iteration(problem: CycleProblem, k_states, init: StationaryPolicy | N
                 and acpc_optimality_check(problem, gb.lam, gb.h, tol=tol)):
             return PolicyIterationResult(mu, gb, PolicyIterationStatus.OPTIMAL, iteration)
 
-        current = cm.rows_of(choice)
-        u_bar = _argmin_rows(cm, cm.expect(gb.J))
+        current = mdp.rows_of(choice)
+        u_bar = _argmin_rows(mdp, mdp.expect(gb.J))
         if u_bar[current].all():
             # h(j) plus J(j) for a successor outside the cycle set
             target = gb.h + gb.J * out_mask
-            candidates = _argmin_rows(cm, cm.cost + cm.expect(target), allowed=u_bar)
+            candidates = _argmin_rows(mdp, mdp.cost + mdp.expect(target), allowed=u_bar)
         else:
             candidates = u_bar
 
         # keep the current action when it is a candidate, else the least one
-        least = cm.segment_min(np.where(candidates, cm.action, no_action))
+        least = mdp.segment_min(np.where(candidates, mdp.action, no_action))
         nxt = tuple(np.where(candidates[current], choice, least).tolist())
         selected = _constrained_select(problem, nxt, candidates, k_states)
         if selected is None or selected[0] == choice:
@@ -327,25 +322,20 @@ def _k_set(problem: CycleProblem, k_states) -> frozenset[int]:
     return k_set
 
 
-def _argmin_rows(cm, values, allowed=None) -> np.ndarray:
+def _argmin_rows(mdp: LabeledMdp, values, allowed=None) -> np.ndarray:
     """Mask of the rows within a small numeric tie tolerance of their
     state's least value, counting only allowed rows when given."""
     if allowed is not None:
         values = np.where(allowed, values, np.inf)
-    best = cm.segment_min(values)
+    best = mdp.segment_min(values)
     best += TIE_TOL * np.maximum(1.0, np.abs(best))
-    return values <= best[cm.row_state]
-
-
-def _as_choice(mdp: LabeledMdp, mu: StationaryPolicy) -> tuple[int, ...]:
-    if not mu.defined_on(mdp.states):
-        raise PolicyIncomplete("policy must be total on the problem states")
-    return tuple(mu.choice[i] for i in mdp.states)
+    return values <= best[mdp.row_state]
 
 
 def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
-    classes, _ = numerics._bottom_classes([sorted(mdp.succ[(i, a)])
-                                           for i, a in enumerate(choice)])
+    col, at = mdp.successor_lists()
+    classes, _ = numerics._bottom_classes([sorted(col[at[r]:at[r + 1]])
+                                           for r in mdp.rows_of(choice).tolist()])
     return classes
 
 
@@ -367,10 +357,11 @@ def _constrained_select(problem: CycleProblem, candidate, allowed, k_states):
     """Keep the greedy candidate if it is proper with a K state in its
     recurrent classes; otherwise run one repair pass that reroutes states
     in offending recurrent classes along allowed actions (a mask over the
-    choice-matrix rows) leaving the class.  Returns (choice, its
-    recurrent classes), or None when the repair fails."""
+    rows) leaving the class.  Returns (choice, its recurrent classes), or
+    None when the repair fails."""
     mdp = problem.mdp
-    cm = mdp.choices
+    (col, at), ptr, action = mdp.successor_lists(), mdp.row_ptr.tolist(), mdp.action.tolist()
+    allowed = allowed.tolist()
     choice = list(candidate)
     classes = _chain_classes(mdp, choice)
     for _ in range(mdp.n_states + 1):
@@ -381,16 +372,12 @@ def _constrained_select(problem: CycleProblem, candidate, allowed, k_states):
         changed = False
         for cls in offending:
             for i in sorted(cls):
-                rows = slice(cm.row_ptr[i], cm.row_ptr[i + 1])
-                for a in sorted(set(cm.action[rows][allowed[rows]].tolist())):
-                    if not cls.issuperset(mdp.succ[(i, a)]):
-                        if choice[i] != a:
-                            choice[i] = a
-                            changed = True
-                        break
-                else:
-                    continue
-                break
+                leaving = [action[r] for r in range(ptr[i], ptr[i + 1])
+                           if allowed[r] and not cls.issuperset(col[at[r]:at[r + 1]])]
+                if leaving:
+                    changed |= choice[i] != min(leaving)
+                    choice[i] = min(leaving)
+                    break
         if not changed:
             break
         classes = _chain_classes(mdp, choice)
@@ -412,7 +399,7 @@ def _initial_policy(problem: CycleProblem, k_states):
     mdp = problem.mdp
     k_star = min(k_states)
     choice = list(_tree_policy(mdp, {k_star}))
-    every = np.ones(len(mdp.choices.action), dtype=bool)
+    every = np.ones(len(mdp.action), dtype=bool)
     repaired = _constrained_select(problem, tuple(choice), every, k_states)
     if repaired is not None:
         return repaired
@@ -432,13 +419,14 @@ def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
     layers = mdp.backward_layers(targets, everywhere)
     choice = mdp.layer_choice(layers, everywhere)
     settled = {i for layer in layers for i in layer}
+    (col, at), ptr, action = mdp.successor_lists(), mdp.row_ptr.tolist(), mdp.action.tolist()
     for t in targets:
         # re-enter the tree: any action works, prefer one whose support
         # includes a settled state
-        acts = mdp.available[t]
-        choice[t] = next((a for a in acts if not settled.isdisjoint(mdp.succ[(t, a)])),
-                         acts[0])
-    return tuple(choice.get(i, mdp.available[i][0]) for i in mdp.states)
+        rows = range(ptr[t], ptr[t + 1])
+        choice[t] = action[next((r for r in rows if not settled.isdisjoint(col[at[r]:at[r + 1]])),
+                                rows[0])]
+    return tuple(choice.get(i, action[ptr[i]]) for i in mdp.states)
 
 
 def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPolicy | None:
@@ -446,7 +434,7 @@ def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPol
     None when the random draw cannot be repaired."""
     mdp = problem.mdp
     choice = tuple(rng.choice(mdp.available[i]) for i in mdp.states)
-    every = np.ones(len(mdp.choices.action), dtype=bool)
+    every = np.ones(len(mdp.action), dtype=bool)
     repaired = _constrained_select(problem, choice, every, frozenset(k_states))
     if repaired is None:
         return None

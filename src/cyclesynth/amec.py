@@ -33,51 +33,63 @@ def maximal_end_components(product: ProductMdp, restrict=None):
     restrict optionally limits the state set considered (used by the
     accepting filter to excise L states).
     """
-    succ, pred = product.model.succ, product.model.pred
+    model = product.model
+    (col, at), pred = model.successor_lists(), model.pred
+    state, ptr, action = model.row_state.tolist(), model.row_ptr.tolist(), model.action.tolist()
     alive = set(product.states if restrict is None else restrict)
-    actions = {i: [a for a in product.available(i)] for i in alive}
+    kept = {i: range(ptr[i], ptr[i + 1]) for i in alive}  # the rows each state keeps
 
     def prune(states):
-        """Drop actions escaping `states`, then action-less states; each
-        removed state j then drops the kept rows in pred[j] (the worklist
-        form of the decomposition, Baier & Katoen 2008, 10.6), so a row is
-        read once by the pass and once per removed successor.  Returns the
-        surviving state set."""
+        """Drop the rows escaping `states` and collect the successors of
+        the rest in one pass, then drop action-less states; each removed
+        state j drops the kept rows in pred[j] (the worklist form of Baier
+        & Katoen 2008, 10.6), and a state that lost a row that way collects
+        its successors again.  Returns the surviving states and the
+        successors of each one's kept rows."""
         states = set(states)
-        removed = []
+        removed, edges = [], {}
         for i in states:
-            actions[i] = [a for a in actions[i] if states.issuperset(succ[(i, a)])]
-            if not actions[i]:
+            rows, edges[i] = [], []
+            for r in kept[i]:
+                row = col[at[r]:at[r + 1]]
+                if states.issuperset(row):
+                    rows.append(r)
+                    edges[i] += row
+            kept[i] = rows
+            if not rows:
                 removed.append(i)
         states.difference_update(removed)
+        touched = set()
         while removed:
-            for i, a in pred[removed.pop()]:
-                if i in states and a in actions[i]:
-                    actions[i].remove(a)
-                    if not actions[i]:
+            for r in pred[removed.pop()]:
+                i = state[r]
+                if i in states and r in kept[i]:
+                    kept[i].remove(r)
+                    touched.add(i)
+                    if not kept[i]:
                         states.discard(i)
                         removed.append(i)
-        return states
+        for i in touched & states:
+            edges[i] = [j for r in kept[i] for j in col[at[r]:at[r + 1]]]
+        return states, edges
 
     components = []
-    work = [prune(alive)]
+    work = [alive]  # blocks to prune; the edges of one block are held at a time
     while work:
-        block = work.pop()
+        block, edges = prune(work.pop())
         if not block:
             continue
         nodes = sorted(block)
         pos = {i: k for k, i in enumerate(nodes)}
-        edges = [sorted({pos[j] for a in actions[i] for j in succ[(i, a)]})
-                 for i in nodes]
-        groups = numerics._tarjan_scc(len(nodes), edges)
+        groups = numerics._tarjan_scc(len(nodes), [sorted({pos[j] for j in edges[i]})
+                                                   for i in nodes])
         if len(groups) == 1:
             components.append(block)
         else:
-            work.extend(prune(nodes[k] for k in grp) for grp in groups)
-    out = [(frozenset(block), {i: tuple(sorted(actions[i])) for i in sorted(block)})
-           for block in components]
-    out.sort(key=lambda item: sorted(item[0]))
-    return out
+            work.extend([nodes[k] for k in grp] for grp in groups)
+    return sorted([(frozenset(block),
+                    {i: tuple(sorted([action[r] for r in kept[i]])) for i in sorted(block)})
+                   for block in components], key=lambda item: sorted(item[0]))
 
 
 def accepting_amecs(product: ProductMdp) -> list[Amec]:

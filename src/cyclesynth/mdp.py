@@ -1,6 +1,6 @@
-"""Labeled MDP data model, JSON loading, validation, graph checks of
-induced chains, the backward search over the rows and the choice matrix
-that flattens them.
+"""Labeled MDP data model in compressed rows, the one constructor from
+keyed rows, JSON loading, validation, graph checks of induced chains and
+the backward search over the rows.
 
 States are indexed 0..n-1 and actions are indexed into a global action
 alphabet; action names are only used at the I/O boundary.  All types are
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -37,9 +39,6 @@ class StationaryPolicy:
         except KeyError:
             raise PolicyIncomplete(f"policy undefined at state {state}") from None
 
-    def defined_on(self, states) -> bool:
-        return all(s in self.choice for s in states)
-
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -50,27 +49,25 @@ class ValidationReport:
         return not self.violations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledMdp:
-    """Finite labeled MDP with strictly positive action costs.
-
-    Transitions are sparse rows keyed by (state, action index), stored
-    only for available actions: succ holds the distinct successors and
-    prob their positive probabilities in the same order.  The product
-    and its component sub-problems are LabeledMdps too, sharing the prob
-    tuples of the MDP they come from.  `pred` inverts succ for the
-    backward search that almost-sure reachability, the reach policy and
-    the initial policy of policy iteration share, and for the pruning of
-    the maximal end component decomposition.  `choices` flattens the
-    rows into the arrays that policy iteration computes with.
-    """
+    """Finite labeled MDP with strictly positive action costs, in
+    compressed rows as in the sparse engines of PRISM and Storm: state i
+    owns rows row_ptr[i]:row_ptr[i+1], one per available action in order;
+    row r takes action[r] at cost[r] and moves to col[e] with probability
+    prob[e] for e in entry_ptr[r]:entry_ptr[r+1].  The product and its
+    component sub-problems are LabeledMdps too.  The Python loops read
+    row indices over list views taken once per call; `pred` inverts the
+    rows for the backward search and the end component pruning."""
 
     n_states: int
     actions: tuple[str, ...]
-    available: tuple[tuple[int, ...], ...]
-    succ: dict[tuple[int, int], tuple[int, ...]]
-    prob: dict[tuple[int, int], tuple[float, ...]]
-    cost: dict[tuple[int, int], float]
+    row_ptr: np.ndarray
+    action: np.ndarray
+    cost: np.ndarray
+    entry_ptr: np.ndarray
+    col: np.ndarray
+    prob: np.ndarray
     init: int
     props: frozenset[str]
     label: tuple[frozenset[str], ...]
@@ -80,15 +77,31 @@ class LabeledMdp:
         return range(self.n_states)
 
     @cached_property
-    def pred(self) -> tuple[list[tuple[int, int]], ...]:
-        """pred[j] lists, once each, the rows (i, a) whose successors
-        include j.  Built whole on first use and only read afterwards
-        (threads racing on the first use each build a complete copy)."""
-        pred: list[list[tuple[int, int]]] = [[] for _ in self.states]
-        for key, row in self.succ.items():
-            for j in row:
-                pred[j].append(key)
-        return tuple(pred)
+    def available(self) -> tuple[tuple[int, ...], ...]:
+        """Each state's actions, in row order."""
+        action, ptr = self.action.tolist(), self.row_ptr.tolist()
+        return tuple(tuple(action[lo:hi]) for lo, hi in zip(ptr, ptr[1:]))
+
+    @cached_property
+    def row_state(self) -> np.ndarray:
+        return np.repeat(np.arange(self.n_states), np.diff(self.row_ptr))
+
+    @cached_property
+    def entry_row(self) -> np.ndarray:
+        return np.repeat(np.arange(len(self.action)), np.diff(self.entry_ptr))
+
+    def successor_lists(self) -> tuple[list[int], list[int]]:
+        """List views (col, entry_ptr): row r's successors are col[ptr[r]:ptr[r+1]]."""
+        return self.col.tolist(), self.entry_ptr.tolist()
+
+    @cached_property
+    def pred(self) -> tuple[list[int], ...]:
+        """pred[j] lists, in row order, the rows whose successors include
+        j (a stable sort of the entries by successor), built whole on first
+        use: threads racing on the first use each build a complete copy."""
+        rows = self.entry_row[np.argsort(self.col, kind="stable")].tolist()
+        ptr = np.cumsum(np.bincount(self.col, minlength=self.n_states)).tolist()
+        return tuple(rows[lo:hi] for lo, hi in zip([0, *ptr], ptr))
 
     def backward_layers(self, target, within) -> list[list[int]]:
         """Breadth-first layers of the attractor of target inside within
@@ -97,7 +110,7 @@ class LabeledMdp:
         earlier layer with a row into layers[d-1] whose state and
         successors all lie in within.  A row is read at most once per
         successor."""
-        succ, pred = self.succ, self.pred
+        (col, ptr), state, pred = self.successor_lists(), self.row_state.tolist(), self.pred
         layer = [j for j in target if j in within]
         seen = set(layer)
         layers = []
@@ -105,9 +118,9 @@ class LabeledMdp:
             layers.append(layer)
             nxt = []
             for j in layer:
-                for key in pred[j]:
-                    i = key[0]
-                    if i not in seen and i in within and within.issuperset(succ[key]):
+                for r in pred[j]:
+                    i = state[r]
+                    if i not in seen and i in within and within.issuperset(col[ptr[r]:ptr[r + 1]]):
                         seen.add(i)
                         nxt.append(i)
             layer = nxt
@@ -116,14 +129,15 @@ class LabeledMdp:
     def layer_choice(self, layers, within) -> dict[int, int]:
         """Each state of layers[d], d >= 1, takes its first available
         action whose successors stay in within and meet layers[d-1]."""
-        succ, choice = self.succ, {}
+        (col, at), ptr, action = self.successor_lists(), self.row_ptr.tolist(), self.action.tolist()
+        choice = {}
         for closer, layer in zip(layers, layers[1:]):
             closer = set(closer)
             for i in layer:
-                for a in self.available[i]:
-                    row = succ[(i, a)]
+                for r in range(ptr[i], ptr[i + 1]):
+                    row = col[at[r]:at[r + 1]]
                     if within.issuperset(row) and not closer.isdisjoint(row):
-                        choice[i] = a
+                        choice[i] = action[r]
                         break
         return choice
 
@@ -135,61 +149,6 @@ class LabeledMdp:
 
     def pi_states(self, pi: str) -> frozenset[int]:
         return frozenset(i for i in self.states if pi in self.label[i])
-
-    @cached_property
-    def choices(self) -> ChoiceMatrix:
-        """The rows as one ChoiceMatrix, built on first use and only read
-        afterwards."""
-        row_ptr, action, cost, entry_ptr, col, prob = [0], [], [], [0], [], []
-        for i in self.states:
-            if not self.available[i]:
-                raise InvariantViolation(f"no available action at state {i}")
-            for a in self.available[i]:
-                key = (i, a)
-                action.append(a)
-                cost.append(self.cost[key])
-                col.extend(self.succ[key])
-                prob.extend(self.prob[key])
-                entry_ptr.append(len(col))
-            row_ptr.append(len(action))
-        return ChoiceMatrix(row_ptr=np.array(row_ptr), action=np.array(action, dtype=np.int64),
-                            cost=np.array(cost, dtype=float), entry_ptr=np.array(entry_ptr),
-                            col=np.array(col, dtype=np.int64), prob=np.array(prob, dtype=float))
-
-    def policy_matrices(self, mu: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
-        """Dense transition matrix and cost vector of the chain induced by
-        mu, scattered from the choice matrix."""
-        cm = self.choices
-        rows = cm.rows_of([mu.action(i) for i in self.states])
-        indptr, col, prob = cm.chain(rows)
-        P = np.zeros((self.n_states, self.n_states))
-        P[np.repeat(np.arange(self.n_states), np.diff(indptr)), col] = prob
-        return P, cm.cost[rows]
-
-
-@dataclass(frozen=True, eq=False)
-class ChoiceMatrix:
-    """The rows of a LabeledMdp in compressed form, as in the sparse
-    engines of PRISM and Storm: one row per (state, action) pair, in
-    `available` order.  State i owns rows row_ptr[i]:row_ptr[i+1]; row r
-    takes action[r] at cost[r] and moves to col[e] with probability
-    prob[e] for e in entry_ptr[r]:entry_ptr[r+1].  Every state has a row
-    and every row an entry."""
-
-    row_ptr: np.ndarray
-    action: np.ndarray
-    cost: np.ndarray
-    entry_ptr: np.ndarray
-    col: np.ndarray
-    prob: np.ndarray
-
-    @cached_property
-    def row_state(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.row_ptr) - 1), np.diff(self.row_ptr))
-
-    @cached_property
-    def entry_row(self) -> np.ndarray:
-        return np.repeat(np.arange(len(self.action)), np.diff(self.entry_ptr))
 
     def expect(self, x) -> np.ndarray:
         """sum_j P(r, j) x[j] for every row r, added up in entry order."""
@@ -204,7 +163,7 @@ class ChoiceMatrix:
         """The row of each state's action in choice (one action per
         state); PolicyIncomplete when a state lacks that action."""
         n_rows = len(self.action)
-        if len(choice) != len(self.row_ptr) - 1:
+        if len(choice) != self.n_states:
             raise PolicyIncomplete("a policy needs one action per state")
         hit = self.action == np.asarray(choice)[self.row_state]
         rows = self.segment_min(np.where(hit, np.arange(n_rows), n_rows))
@@ -213,58 +172,111 @@ class ChoiceMatrix:
             raise PolicyIncomplete(f"action {choice[i]} is not available at state {i}")
         return rows
 
+    def take(self, row_ptr, rows, col, label, props) -> LabeledMdp:
+        """The model, initial state 0, whose state k owns this one's rows
+        rows[row_ptr[k]:row_ptr[k+1]], but with successors col."""
+        entry_ptr, _, prob = self.chain(rows)
+        return LabeledMdp(n_states=len(row_ptr) - 1, actions=self.actions, row_ptr=row_ptr,
+                          action=self.action[rows], cost=self.cost[rows], entry_ptr=entry_ptr,
+                          col=np.asarray(col, dtype=np.int64), prob=prob, init=0, props=props,
+                          label=tuple(label))
+
+    def rows_at(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """(ptr, rows): rows[ptr[k]:ptr[k+1]] are the rows of states[k]."""
+        states = np.asarray(states)
+        counts = self.row_ptr[states + 1] - self.row_ptr[states]
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        return ptr, np.arange(ptr[-1]) + np.repeat(self.row_ptr[states] - ptr[:-1], counts)
+
     def chain(self, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Compressed rows (indptr, col, prob) of the chain that takes
-        row rows[i] at each state i."""
+        """Compressed rows (indptr, col, prob) that take the entries of
+        rows[k] as row k."""
         start = self.entry_ptr[rows]
         counts = self.entry_ptr[rows + 1] - start
         indptr = np.concatenate(([0], np.cumsum(counts)))
         take = np.arange(indptr[-1]) + np.repeat(start - indptr[:-1], counts)
         return indptr, self.col[take], self.prob[take]
 
+    def policy_matrices(self, mu: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
+        """Dense transition matrix and cost vector of the chain induced by
+        mu, scattered from the rows."""
+        rows = self.rows_of([mu.action(i) for i in self.states])
+        indptr, col, prob = self.chain(rows)
+        P = np.zeros((self.n_states, self.n_states))
+        P[np.repeat(np.arange(self.n_states), np.diff(indptr)), col] = prob
+        return P, self.cost[rows]
+
+
+def from_rows(actions, available, rows, costs, init: int, label) -> LabeledMdp:
+    """The model whose state i takes the actions available[i], in that
+    order, from rows ((i, a), [(successor, probability), ...]) and costs
+    ((i, a), cost), one of each per available pair.  InvariantViolation
+    names every pair without a row or a cost and every row or cost given
+    for a pair not available: the arrays cannot hold them."""
+    row_ptr = list(accumulate(map(len, available), initial=0))
+    action = [a for acts in available for a in acts]
+    state = np.repeat(np.arange(len(available)), np.diff(row_ptr)).tolist()
+    entries, cost, bad = [None] * len(action), [None] * len(action), []
+    for table, what, items in ((entries, "transition row", rows), (cost, "cost", costs)):
+        for (i, a), value in items:
+            if 0 <= i < len(available) and a in available[i]:
+                table[row_ptr[i] + available[i].index(a)] = value
+            else:
+                bad.append(f"{what} stored for unavailable pair ({i},{a})")
+        bad.extend(f"missing {what} at ({state[r]},{actions[action[r]]})"
+                   for r, value in enumerate(table) if value is None)
+    if bad:
+        raise InvariantViolation("; ".join(bad))
+    return LabeledMdp(
+        n_states=len(available),
+        actions=tuple(actions),
+        row_ptr=np.array(row_ptr, dtype=np.int64),
+        action=np.array(action, dtype=np.int64),
+        cost=np.array(cost, dtype=float),
+        entry_ptr=np.cumsum([0, *map(len, entries)]),
+        col=np.array([j for row in entries for j, _p in row], dtype=np.int64),
+        prob=np.array([p for row in entries for _j, p in row], dtype=float),
+        init=init,
+        props=frozenset().union(*label),
+        label=tuple(label),
+    )
+
 
 def validate(mdp: LabeledMdp) -> ValidationReport:
-    """Collect every violated structural invariant (report-style)."""
-    bad: list[str] = []
-    if not (0 <= mdp.init < mdp.n_states):
-        bad.append(f"init {mdp.init} is not a valid state index")
-    if len(mdp.available) != mdp.n_states:
-        bad.append("available must list an action set per state")
-    for i in mdp.states:
-        if i < len(mdp.available) and not mdp.available[i]:
-            bad.append(f"no available action at state {i}")
-        elif i < len(mdp.available) and len(set(mdp.available[i])) != len(mdp.available[i]):
-            bad.append(f"repeated action at state {i}")
-    for i in mdp.states:
-        for a in mdp.available[i] if i < len(mdp.available) else ():
-            key = (i, a)
-            at = f"at ({i},{mdp.actions[a]})"
-            if key not in mdp.succ or key not in mdp.prob:
-                bad.append(f"missing transition row {at}")
-                continue
-            succ, prob = mdp.succ[key], mdp.prob[key]
-            if len(succ) != len(prob):
-                bad.append(f"{len(succ)} successors but {len(prob)} probabilities {at}")
-            if len(set(succ)) != len(succ):
-                bad.append(f"repeated successor {at}")
-            if not all(0 <= j < mdp.n_states for j in succ):
-                bad.append(f"successor out of range {at}")
-            if not all(math.isfinite(p) for p in prob):
-                bad.append(f"non-finite probability {at}")
-            elif not all(0.0 < p <= 1.0 for p in prob):
-                bad.append(f"probability outside (0,1] {at}")
-            elif abs(math.fsum(prob) - 1.0) > ROW_SUM_TOL:
-                bad.append(f"row sum {math.fsum(prob):.10g} != 1 {at}")
-            if key not in mdp.cost:
-                bad.append(f"missing cost {at}")
-            elif not math.isfinite(mdp.cost[key]):
-                bad.append(f"non-finite cost {at}")
-            elif not mdp.cost[key] > 0.0:
-                bad.append(f"non-positive cost {at}")
-    for (i, a) in mdp.succ.keys() | mdp.prob.keys():
-        if i >= mdp.n_states or a not in mdp.available[i]:
-            bad.append(f"transition row stored for unavailable pair ({i},{a})")
+    """Collect every violated structural invariant (report-style): the
+    state checks first, then each row's, in row order."""
+    n, n_rows = mdp.n_states, len(mdp.action)
+    bad = [] if 0 <= mdp.init < n else [f"init {mdp.init} is not a valid state index"]
+    state, er, col, prob, cost = mdp.row_state, mdp.entry_row, mdp.col, mdp.prob, mdp.cost
+    empty = np.diff(mdp.row_ptr) == 0
+    for i in np.flatnonzero(empty | _repeats(state, mdp.action, n)).tolist():
+        bad.append(f"no available action at state {i}" if empty[i]
+                   else f"repeated action at state {i}")
+    non_finite = np.bincount(er[~np.isfinite(prob)], minlength=n_rows) > 0
+    outside = np.bincount(er[~((prob > 0.0) & (prob <= 1.0))], minlength=n_rows) > 0  # or NaN
+    sums = np.bincount(er, weights=prob, minlength=n_rows)  # added up in entry order
+    checks = {
+        "repeated successor": _repeats(er, col, n_rows),
+        "successor out of range": np.bincount(er[(col < 0) | (col >= n)], minlength=n_rows) > 0,
+        "non-finite probability": non_finite,
+        "probability outside (0,1]": outside & ~non_finite,
+        "row sum": (np.abs(sums - 1.0) > ROW_SUM_TOL) & ~outside,
+        "non-finite cost": ~np.isfinite(cost),
+        "non-positive cost": np.isfinite(cost) & ~(cost > 0.0),
+    }
+    for r in np.flatnonzero(np.logical_or.reduce(list(checks.values()))).tolist():
+        at = f"at ({state[r]},{mdp.actions[mdp.action[r]]})"
+        bad.extend(f"row sum {sums[r]:.10g} != 1 {at}" if what == "row sum" else f"{what} {at}"
+                   for what, mask in checks.items() if mask[r])
     return ValidationReport(tuple(bad))
+
+
+def _repeats(group, key, size: int) -> np.ndarray:
+    """Mask over 0..size-1 of the groups in which some key occurs twice."""
+    order = np.lexsort((key, group))
+    group, key = group[order], key[order]
+    return np.bincount(group[1:][(group[1:] == group[:-1]) & (key[1:] == key[:-1])],
+                       minlength=size) > 0
 
 
 def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
@@ -275,15 +287,18 @@ def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    classes, _ = numerics._bottom_classes([mdp.succ[(i, mu.action(i))] for i in mdp.states])
+    rows = mdp.rows_of([mu.action(i) for i in mdp.states])
+    col, at = mdp.successor_lists()
+    classes, _ = numerics._bottom_classes([col[at[r]:at[r + 1]] for r in rows.tolist()])
     return all(not target.isdisjoint(c) for c in classes)
 
 
 def is_communicating(mdp: LabeledMdp) -> bool:
     """True iff the union digraph over all available actions is strongly
-    connected (every pair connected under some policy)."""
-    succ = [sorted({j for a in mdp.available[i] for j in mdp.succ[(i, a)]})
-            for i in mdp.states]
+    connected (every pair connected under some policy).  A state's
+    entries are contiguous."""
+    col, ptr = mdp.col.tolist(), mdp.entry_ptr[mdp.row_ptr].tolist()
+    succ = [sorted(set(col[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
     return len(numerics._tarjan_scc(mdp.n_states, succ)) <= 1
 
 
@@ -324,10 +339,8 @@ def from_json_dict(data: dict) -> LabeledMdp:
         if len(set(listed[i])) != len(listed[i]):
             raise ParseError(f"repeated action at state {i}", key=key)
     _check_unaliased(data["available"], listed, lambda k: _parse_state_key(k, n))
-    available = [listed.get(i, ()) for i in range(n)]
-    succ, prob = {}, {}
+    rows = []
     for key, entries in _of_kind(data["trans"], dict, "trans").items():
-        i, a = _parse_pair_key(key, n, act_idx)
         row: dict[int, float] = {}
         for entry in _of_kind(entries, list, key):
             try:
@@ -346,27 +359,18 @@ def from_json_dict(data: dict) -> LabeledMdp:
             s += row[j]
         if abs(s - 1.0) > ROW_SUM_TOL:
             raise ParseError(f"row sum {s:.10g} != 1", key=key)
-        succ[(i, a)] = tuple(support)
-        prob[(i, a)] = tuple(row[j] / s for j in support)  # renormalized once at load
-    _check_unaliased(data["trans"], succ, lambda k: _parse_pair_key(k, n, act_idx))
-    cost = {}
-    for key, c in _of_kind(data["cost"], dict, "cost").items():
-        i, a = _parse_pair_key(key, n, act_idx)
-        cost[(i, a)] = _json_number(c, "cost", key)
-    _check_unaliased(data["cost"], cost, lambda k: _parse_pair_key(k, n, act_idx))
+        # renormalized once, unless the sum is 1 up to the rounding of
+        # the sum itself, so that a saved model loads back unchanged
+        scale = s if abs(s - 1.0) > len(support) * sys.float_info.epsilon else 1.0
+        rows.append((_parse_pair_key(key, n, act_idx), [(j, row[j] / scale) for j in support]))
+    _check_unaliased(data["trans"], {pair for pair, _row in rows},
+                     lambda k: _parse_pair_key(k, n, act_idx))
+    costs = [(_parse_pair_key(key, n, act_idx), _json_number(c, "cost", key))
+             for key, c in _of_kind(data["cost"], dict, "cost").items()]
+    _check_unaliased(data["cost"], {pair for pair, _c in costs},
+                     lambda k: _parse_pair_key(k, n, act_idx))
     init = json_index(data["init"], "init")
-    props = frozenset().union(*labels) if labels else frozenset()
-    mdp = LabeledMdp(
-        n_states=n,
-        actions=actions,
-        available=tuple(available),
-        succ=succ,
-        prob=prob,
-        cost=cost,
-        init=init,
-        props=props,
-        label=tuple(labels),
-    )
+    mdp = from_rows(actions, [listed.get(i, ()) for i in range(n)], rows, costs, init, labels)
     if mdp.violations:
         raise InvariantViolation("; ".join(mdp.violations))
     return mdp
@@ -382,15 +386,15 @@ def load(path) -> LabeledMdp:
 
 
 def to_json_dict(mdp: LabeledMdp) -> dict:
+    keys = [f"{i},{mdp.actions[a]}" for i, a in zip(mdp.row_state.tolist(), mdp.action.tolist())]
+    col, prob, ptr = mdp.col.tolist(), mdp.prob.tolist(), mdp.entry_ptr.tolist()
     return {
         "states": [{"id": i, "label": sorted(mdp.label[i])} for i in mdp.states],
         "actions": list(mdp.actions),
         "available": {str(i): [mdp.actions[a] for a in mdp.available[i]] for i in mdp.states},
-        "trans": {
-            f"{i},{mdp.actions[a]}": [[j, p] for j, p in zip(succ, mdp.prob[(i, a)])]
-            for (i, a), succ in sorted(mdp.succ.items())
-        },
-        "cost": {f"{i},{mdp.actions[a]}": float(c) for (i, a), c in sorted(mdp.cost.items())},
+        "trans": {key: [[j, p] for j, p in zip(col[lo:hi], prob[lo:hi])]
+                  for key, lo, hi in zip(keys, ptr, ptr[1:])},
+        "cost": dict(zip(keys, mdp.cost.tolist())),
         "init": mdp.init,
     }
 

@@ -6,6 +6,7 @@ costs, and projection of product policies back onto the MDP.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dra import Dra
 from .errors import AlphabetMismatch, PiUnused, UntrackedState
@@ -15,19 +16,19 @@ from .mdp import LabeledMdp, StationaryPolicy
 @dataclass(frozen=True)
 class ProductMdp:
     """Synchronized MDP x DRA restricted to states reachable from the
-    initial pair.  Product states are indexed densely; `pairs_of` maps an
-    index back to its (mdp state, dra state) pair.  `model` is the
-    product's own labeled MDP: each row lists the product successors in
-    the order of the MDP row's successors and shares that row's
-    probabilities; only the optimizing proposition is labeled.
-    `q_next[i]` is the automaton state after reading state i's label."""
+    initial pair, indexed densely in breadth-first order: `pairs_of` maps
+    an index to its (mdp state, dra state) pair, `index` maps
+    s * dra.n_states + q to the index of (s, q).  `model` is the product's
+    labeled MDP: state i's rows are its MDP state's, with the product
+    successors in the same order; only the optimizing proposition is
+    labeled.  `q_next[i]` is the automaton state after reading i's label."""
 
     mdp: LabeledMdp
     dra: Dra
     pi: str
     n_states: int
     pairs_of: tuple[tuple[int, int], ...]
-    index_of: dict[tuple[int, int], int]
+    index: dict[int, int]
     init: int
     lifted_pairs: tuple[tuple[frozenset[int], frozenset[int]], ...]  # (L_P, K_P)
     pi_states: frozenset[int]
@@ -37,6 +38,11 @@ class ProductMdp:
     @property
     def states(self) -> range:
         return range(self.n_states)
+
+    @cached_property
+    def index_of(self) -> dict[tuple[int, int], int]:
+        """The index of each (mdp state, dra state) pair, built on first use."""
+        return {pair: i for i, pair in enumerate(self.pairs_of)}
 
     def available(self, i: int):
         return self.model.available[i]
@@ -62,26 +68,21 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         raise PiUnused(f"no MDP state is labeled with {pi!r}; every policy has "
                        "infinite per-cycle cost")
 
-    start = (mdp.init, dra.start)
-    index_of = {start: 0}
-    pairs_of = [start]
-    q_next = []
-    succ, prob, cost = {}, {}, {}
-    i = 0
-    while i < len(pairs_of):  # breadth first: pairs_of is the queue
-        s, q = pairs_of[i]
+    n_q = dra.n_states
+    index = {mdp.init * n_q + dra.start: 0}
+    pairs_of = [(mdp.init, dra.start)]
+    q_next, col = [], []
+    # a state's entries are contiguous: those of its first row to its last
+    m_col, m_ptr = mdp.col.tolist(), mdp.entry_ptr[mdp.row_ptr].tolist()
+    for s, q in pairs_of:  # breadth first: pairs_of is the queue, appended to as it goes
         q2 = dra.step(q, mdp.label[s])
         q_next.append(q2)
-        for j in sorted({j for a in mdp.available[s] for j in mdp.succ[(s, a)]}):
-            if (j, q2) not in index_of:
-                index_of[(j, q2)] = len(pairs_of)
+        succ = m_col[m_ptr[s]:m_ptr[s + 1]]
+        for j in sorted(set(succ)):
+            if j * n_q + q2 not in index:
+                index[j * n_q + q2] = len(pairs_of)
                 pairs_of.append((j, q2))
-        for a in mdp.available[s]:
-            key = (i, a)
-            succ[key] = tuple(index_of[(j, q2)] for j in mdp.succ[(s, a)])
-            prob[key] = mdp.prob[(s, a)]
-            cost[key] = mdp.cost[(s, a)]
-        i += 1
+        col.extend([index[j * n_q + q2] for j in succ])
 
     lifted = []
     for pair in dra.pairs:
@@ -90,24 +91,16 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         lifted.append((L, K))
     pi_states = frozenset(i for i, (s, _q) in enumerate(pairs_of) if pi in mdp.label[s])
     marked = frozenset([pi])
-    model = LabeledMdp(
-        n_states=len(pairs_of),
-        actions=mdp.actions,
-        available=tuple(mdp.available[s] for s, _q in pairs_of),
-        succ=succ,
-        prob=prob,
-        cost=cost,
-        init=0,
-        props=marked,
-        label=tuple(marked if i in pi_states else frozenset() for i in range(len(pairs_of))),
-    )
+    model = mdp.take(*mdp.rows_at([s for s, _q in pairs_of]), col,
+                     [marked if i in pi_states else frozenset() for i in range(len(pairs_of))],
+                     marked)
     return ProductMdp(
         mdp=mdp,
         dra=dra,
         pi=pi,
         n_states=len(pairs_of),
         pairs_of=tuple(pairs_of),
-        index_of=index_of,
+        index=index,
         init=0,
         lifted_pairs=tuple(lifted),
         pi_states=pi_states,
@@ -120,15 +113,18 @@ class ExecutablePolicy:
     """Controller for the original MDP that tracks the automaton state
     online.  Stationary on the product, generally non-stationary on the
     MDP.  `act` returns the control for the current MDP state and
-    advances the tracked automaton state.  Tables: `index` maps s * n_q + q
-    to the product state of (s, q); `choice` and `q_next` are per product state."""
+    advances the tracked automaton state.  Tables: the product's `index`,
+    and per product state `choice` and `q_next`."""
 
     def __init__(self, product: ProductMdp, policy_on_product: StationaryPolicy):
         self.product = product
-        self.policy = policy_on_product
-        self.n_q = n_q = product.dra.n_states
-        self.index = {s * n_q + q: i for (s, q), i in product.index_of.items()}
-        self.choice = [policy_on_product.action(i) for i in product.states]
+        self.n_q = product.dra.n_states
+        self.index = product.index
+        try:
+            self.choice = list(map(policy_on_product.choice.__getitem__, product.states))
+        except KeyError as exc:
+            raise UntrackedState(
+                f"policy undefined at product state {product.state_name(exc.args[0])}") from None
         self.q_next = product.q_next
         self.q = product.dra.start
 
@@ -150,7 +146,5 @@ class ExecutablePolicy:
 
 
 def project_policy(product: ProductMdp, policy_on_product: StationaryPolicy) -> ExecutablePolicy:
-    for i in product.states:
-        if i not in policy_on_product.choice:
-            raise UntrackedState(f"policy undefined at product state {product.state_name(i)}")
+    """The controller of a total product policy (UntrackedState otherwise)."""
     return ExecutablePolicy(product, policy_on_product)

@@ -63,11 +63,19 @@ class SimReport:
         return out
 
 
-def _row(mdp: LabeledMdp, key) -> tuple[list[float], tuple[int, ...], float]:
-    """(cumulative probabilities, successors, cost) of one sparse row."""
-    cum = list(accumulate(mdp.prob[key]))
+def _row(views, r: int) -> tuple[list[float], list[int], float]:
+    """(cumulative probabilities, successors, cost) of row r, read from list
+    views of a model's entry_ptr, col, prob and cost."""
+    ptr, col, prob, cost = views
+    cum = list(accumulate(prob[ptr[r]:ptr[r + 1]]))
     cum[-1] = 1.0  # guard against roundoff at the top end
-    return cum, mdp.succ[key], mdp.cost[key]
+    return cum, col[ptr[r]:ptr[r + 1]], cost[r]
+
+
+def _policy_rows(mdp: LabeledMdp, policy: StationaryPolicy) -> list:
+    """Each state's row under policy, ready for _run."""
+    views = mdp.entry_ptr.tolist(), mdp.col.tolist(), mdp.prob.tolist(), mdp.cost.tolist()
+    return [_row(views, r) for r in mdp.rows_of([policy.action(i) for i in mdp.states]).tolist()]
 
 
 def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
@@ -113,9 +121,8 @@ def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
 def simulate(mdp: LabeledMdp, policy: StationaryPolicy, n_stages: int, seed: int,
              pi_states, collect_cycle_costs: bool = False) -> SimReport:
     """Run a stationary policy on an MDP for n_stages steps."""
-    table = [_row(mdp, (i, policy.action(i))) for i in mdp.states]
-    return _run(table.__getitem__, mdp.init, mdp.n_states, n_stages, seed, pi_states,
-                collect_cycle_costs)[0]
+    return _run(_policy_rows(mdp, policy).__getitem__, mdp.init, mdp.n_states, n_stages,
+                seed, pi_states, collect_cycle_costs)[0]
 
 
 def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: int,
@@ -128,10 +135,9 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     a run here consumes the same random draws as the projected controller
     on the plain MDP under the same seed.
     """
-    table = [_row(product.model, (i, policy.action(i))) for i in product.states]
-    report, hits, before = _run(table.__getitem__, product.init, product.n_states,
-                                n_stages, seed, product.pi_states, collect_cycle_costs,
-                                amec_states)
+    report, hits, before = _run(_policy_rows(product.model, policy).__getitem__, product.init,
+                                product.n_states, n_stages, seed, product.pi_states,
+                                collect_cycle_costs, amec_states)
     if before is None:
         before = hits  # never entered: every visit came before entry
     pairs = tuple(
@@ -168,7 +174,9 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
     index, n_q, pairs_of = controller.index, controller.n_q, controller.product.pairs_of
     n = len(pairs_of)
     pi_set = frozenset(pi_states)
-    samplers = _Rows(lambda key: _row(mdp, key))  # one per MDP row
+    views = mdp.entry_ptr.tolist(), mdp.col.tolist(), mdp.prob.tolist(), mdp.cost.tolist()
+    ptr, action = mdp.row_ptr.tolist(), mdp.action.tolist()
+    samplers = _Rows(lambda r: _row(views, r))  # one per MDP row
 
     def tracked(s, q):
         i = index.get(s * n_q + q)
@@ -179,7 +187,8 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
 
     def build(i):
         s, controller.q = (i.s, i.q) if isinstance(i, _Untracked) else pairs_of[i]
-        cum, succ, cost = samplers[s, controller.act(s)]  # UntrackedState if untracked
+        # UntrackedState if untracked
+        cum, succ, cost = samplers[action.index(controller.act(s), ptr[s], ptr[s + 1])]
         return cum, tuple(tracked(s2, controller.q) for s2 in succ), cost
 
     cycle = {tracked(s, q) for s in pi_set for q in range(n_q)}

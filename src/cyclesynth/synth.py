@@ -9,6 +9,8 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from . import acpc, amec as amec_mod
 from .acpc import CycleProblem, PolicyIterationStatus
 from .dra import Dra
@@ -58,30 +60,20 @@ class SynthesisResult:
 
 def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
                        ) -> tuple[CycleProblem, frozenset[int], dict[int, int], list[int]]:
-    """Restrict the product to a component, renumbering its states to
-    0..m-1; the rows keep their probability tuples.  Returns the cycle
-    problem, the local K set and the local<->global index maps."""
+    """Restrict the product to a component: a mask keeps its states' rows
+    whose successors stay inside (for a maximal end component, exactly its
+    retained actions), renumbered to 0..m-1 in state order.  Returns the
+    cycle problem, the local K set and the local<->global index maps."""
     model = product.model
     ordered = sorted(component.states)
+    states = np.array(ordered, dtype=np.int64)
+    ptr, rows = model.rows_at(states)
+    entry_ptr, col, _ = model.chain(rows)
+    keep = np.logical_and.reduceat(np.isin(col, states), entry_ptr[:-1])
+    sub = model.take(np.concatenate(([0], np.cumsum(keep)))[ptr], rows[keep],
+                     np.searchsorted(states, col[np.repeat(keep, np.diff(entry_ptr))]),
+                     [model.label[g] for g in ordered], model.props)
     local = {g: k for k, g in enumerate(ordered)}
-    succ, prob, cost = {}, {}, {}
-    for k, g in enumerate(ordered):
-        for a in component.actions[g]:
-            key = (k, a)
-            succ[key] = tuple(local[j] for j in model.succ[(g, a)])
-            prob[key] = model.prob[(g, a)]
-            cost[key] = model.cost[(g, a)]
-    sub = LabeledMdp(
-        n_states=len(ordered),
-        actions=model.actions,
-        available=tuple(component.actions[g] for g in ordered),
-        succ=succ,
-        prob=prob,
-        cost=cost,
-        init=0,
-        props=model.props,
-        label=tuple(model.label[g] for g in ordered),
-    )
     problem = CycleProblem(mdp=sub, pi_states=frozenset(local[g] for g in component.pi_states))
     k_local = frozenset(local[g] for g in component.k_states)
     return problem, k_local, local, ordered

@@ -6,11 +6,12 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from cyclesynth.acpc import CycleProblem
 from cyclesynth.dra import Dra, RabinPair
-from cyclesynth.mdp import LabeledMdp, StationaryPolicy
+from cyclesynth.mdp import LabeledMdp, StationaryPolicy, from_rows
 
 
 # pass/fail lines recorded by the acceptance gate, echoed after the run
@@ -25,38 +26,63 @@ def pytest_terminal_summary(terminalreporter):
 
 
 def make_mdp(n, actions, rows, costs, labels=None, init=0):
-    """Compact constructor.
+    """Compact constructor over mdp.from_rows.
 
     rows: {(state, action name): [(successor, prob), ...]}
     costs: {(state, action name): cost}
     labels: {state: [prop, ...]}
     """
     act_idx = {a: k for k, a in enumerate(actions)}
-    succ, prob, cost = {}, {}, {}
-    available = [[] for _ in range(n)]
+    keyed, available = [], [set() for _ in range(n)]
     for (i, a), entries in rows.items():
         row = {}
         for j, p in entries:
             row[j] = row.get(j, 0.0) + p
-        key = (i, act_idx[a])
-        succ[key] = tuple(sorted(row))
-        prob[key] = tuple(float(row[j]) for j in succ[key])
-        available[i].append(act_idx[a])
-        cost[key] = float(costs[(i, a)])
+        keyed.append(((i, act_idx[a]), [(j, float(row[j])) for j in sorted(row)]))
+        available[i].add(act_idx[a])
     labels = labels or {}
-    label = tuple(frozenset(labels.get(i, ())) for i in range(n))
-    props = frozenset().union(*label) if label else frozenset()
-    return LabeledMdp(
-        n_states=n,
-        actions=tuple(actions),
-        available=tuple(tuple(sorted(acts)) for acts in available),
-        succ=succ,
-        prob=prob,
-        cost=cost,
-        init=init,
-        props=props,
-        label=label,
-    )
+    return from_rows(actions, [tuple(sorted(acts)) for acts in available], keyed,
+                     [((i, act_idx[a]), float(costs[(i, a)])) for i, a in rows], init,
+                     [frozenset(labels.get(i, ())) for i in range(n)])
+
+
+def keyed_rows(mdp) -> dict:
+    """{(state, action index): (successors, probabilities, cost)}, read
+    from the model's arrays: the form test oracles compare against."""
+    col, prob, ptr = mdp.col.tolist(), mdp.prob.tolist(), mdp.entry_ptr.tolist()
+    return {(i, a): (tuple(col[lo:hi]), tuple(prob[lo:hi]), c)
+            for i, a, c, lo, hi in zip(mdp.row_state.tolist(), mdp.action.tolist(),
+                                       mdp.cost.tolist(), ptr, ptr[1:])}
+
+
+def assert_same_model(a, b):
+    """a and b hold the same arrays, element for element and in the same
+    dtypes, and the same states, actions, labels and initial state."""
+    for name in ("row_ptr", "action", "cost", "entry_ptr", "col", "prob"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.n_states, a.actions, a.init, a.label, a.props) == (
+        b.n_states, b.actions, b.init, b.label, b.props)
+
+
+def successor_table(mdp) -> dict:
+    """{(state, action index): successors}, read from the model's arrays."""
+    return {key: row[0] for key, row in keyed_rows(mdp).items()}
+
+
+def with_row(mdp, i, a, succ, prob):
+    """mdp rebuilt through mdp.from_rows with state i's row for action a
+    replaced."""
+    rows = keyed_rows(mdp)
+    rows[(i, a)] = (succ, prob, rows[(i, a)][2])
+    return from_rows(mdp.actions, mdp.available,
+                     [(key, list(zip(s, p))) for key, (s, p, _c) in rows.items()],
+                     [(key, c) for key, (_s, _p, c) in rows.items()], mdp.init, mdp.label)
+
+
+def row_of(mdp, i, a):
+    """(successors, probabilities, cost) of state i's row for action a."""
+    return keyed_rows(mdp)[(i, a)]
 
 
 @pytest.fixture

@@ -13,6 +13,7 @@ from conftest import (
     random_cycle_problem,
     ring_mdp,
     single_policy,
+    successor_table,
 )
 from cyclesynth import acpc, amec, numerics, product, synth
 from cyclesynth.acpc import CycleProblem, PolicyIterationStatus
@@ -383,7 +384,7 @@ def tree_distances(mdp, targets):
     dist = dict.fromkeys(targets, 0)
     d = 0
     while True:
-        layer = {i for (i, _a), row in mdp.succ.items()
+        layer = {i for (i, _a), row in successor_table(mdp).items()
                  if i not in dist and any(dist.get(j) == d for j in row)}
         if not layer:
             return dist
@@ -401,14 +402,15 @@ def test_tree_policy_takes_first_closer_action(problem):
     mdp, targets = problem
     choice = acpc._tree_policy(mdp, targets)
     dist = tree_distances(mdp, targets)
+    succ = successor_table(mdp)
     for i in mdp.states:
         acts = mdp.available[i]
         if i in targets:
-            settled = [a for a in acts if any(j in dist for j in mdp.succ[(i, a)])]
+            settled = [a for a in acts if any(j in dist for j in succ[(i, a)])]
             expected = (settled or acts)[0]
         elif i in dist:
             expected = next(a for a in acts
-                            if any(dist.get(j) == dist[i] - 1 for j in mdp.succ[(i, a)]))
+                            if any(dist.get(j) == dist[i] - 1 for j in succ[(i, a)]))
         else:
             expected = acts[0]
         assert choice[i] == expected, i
@@ -421,7 +423,7 @@ def test_initial_policy_falls_back_to_a_tree_toward_pi(monkeypatch):
     prob, k_states = random_cycle_problem(39, n_max=12, max_actions=4)
     mdp = prob.mdp
     assert (mdp.n_states, prob.pi_states, k_states) == (5, {0}, {1, 2, 3, 4})
-    every = np.ones(len(mdp.choices.action), dtype=bool)
+    every = np.ones(len(mdp.action), dtype=bool)
     toward_k = acpc._tree_policy(mdp, {1})
     assert acpc._constrained_select(prob, toward_k, every, k_states) is None
     targets = []

@@ -5,6 +5,7 @@ referenced from src/, tests/ or bench/, and only sim._run loops over
 the stage count."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -152,3 +153,73 @@ def test_detects_stage_loop():
 def test_one_simulation_loop():
     """Every simulator runs through sim._run, the one stepping loop."""
     assert stage_loops((REPO / "src" / "cyclesynth" / "sim.py").read_text()) == ["_run"]
+
+
+def _state_action_pair(node) -> bool:
+    """node is a 2-tuple led by a name, with no slice or new axis: the
+    (state, action) key of a row table rather than a numpy index."""
+    return (isinstance(node, ast.Tuple) and len(node.elts) == 2
+            and isinstance(node.elts[0], ast.Name)
+            and not any(isinstance(e, ast.Slice) or ast.unparse(e) in ("np.newaxis", "None")
+                        for e in node.elts))
+
+
+def keyed_row_tables(source: str) -> list[str]:
+    """Where `source` builds or reads a table keyed by (state, action):
+    dict displays and comprehensions with a pair key, and subscripts by
+    a pair or by a name bound to one.  Type annotations do not count."""
+    tree = ast.parse(source)
+    bound = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+             and _state_action_pair(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    found = []
+    for node in ast.walk(tree):
+        keys = (node.keys if isinstance(node, ast.Dict)
+                else [node.key] if isinstance(node, ast.DictComp)
+                else [node.slice] if isinstance(node, ast.Subscript)
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("tuple", "dict", "list", "set", "frozenset"))
+                else [])
+        if any(_state_action_pair(k) or isinstance(k, ast.Name) and k.id in bound
+               and isinstance(node, ast.Subscript) for k in keys):
+            found.append((node.lineno, node.col_offset, ast.unparse(node)))
+    return [f"line {line}: {text}" for line, _col, text in sorted(found)]
+
+
+def test_detects_keyed_row_table():
+    source = ("def build(mdp, mu, rows, i, a, np, P, G, X, v, out, col, k):\n"
+              "    succ = {(i, a): () for i, a in rows}\n"
+              "    key = (i, a)\n"
+              "    succ[key] = mdp.succ[(i, mu.action(i))]\n"
+              "    cost = {(i, a): 2.0, 0: 1.0}\n"
+              "    x: dict[tuple[int, int], int] = {}\n"
+              "    return (samplers[s, act(s)], P[np.repeat(k), col], G[k, k + 1:],\n"
+              "            v[out, np.newaxis], X[:, -1], G[col[k], out], key)\n")
+    assert keyed_row_tables(source) == [
+        "line 2: {(i, a): () for i, a in rows}",
+        "line 4: succ[key]",
+        "line 4: mdp.succ[i, mu.action(i)]",
+        "line 5: {(i, a): 2.0, 0: 1.0}",
+        "line 7: samplers[s, act(s)]",
+    ]
+
+
+def test_one_row_representation():
+    """The rows live in LabeledMdp's arrays: no module but the automaton's
+    (keyed by state and symbol) builds or reads a (state, action)-keyed
+    table, and no field of a model, its product or a component holds a
+    dict."""
+    from conftest import pickup_delivery_dra, pickup_delivery_mdp
+    from cyclesynth.amec import accepting_amecs
+    from cyclesynth.mdp import LabeledMdp
+    from cyclesynth.product import build_product
+    from cyclesynth.synth import amec_cycle_problem
+
+    assert [f"{path.name}: {hit}" for path in PACKAGE if path.name != "dra.py"
+            for hit in keyed_row_tables(path.read_text())] == []
+    mdp = pickup_delivery_mdp()
+    product = build_product(mdp, pickup_delivery_dra(), "pickup")
+    component, *_ = amec_cycle_problem(product, accepting_amecs(product)[0])
+    for model in (mdp, product.model, component.mdp):
+        assert [f.name for f in dataclasses.fields(LabeledMdp)
+                if isinstance(getattr(model, f.name), dict) or "dict" in str(f.type)] == []

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_mdp
+from conftest import assert_same_model, keyed_rows, make_mdp, row_of
 from cyclesynth import mdp as mdp_mod
 from cyclesynth import numerics
 from cyclesynth.errors import InvariantViolation, ParseError, PolicyIncomplete
@@ -29,22 +29,84 @@ def toy_b_json():
     }
 
 
+def toy_b_rows(available=((0, 1), (0,)), rows=None, costs=None, init=0):
+    """toy_b through mdp.from_rows, which checks no more than the arrays
+    need.  rows and costs override toy_b's by (state, action index); an
+    override of None leaves the pair out."""
+    keyed = {(0, 0): [(0, 1.0)], (0, 1): [(1, 1.0)], (1, 0): [(0, 1.0)], **(rows or {})}
+    priced = {(0, 0): 5.0, (0, 1): 1.0, (1, 0): 1.0, **(costs or {})}
+    return mdp_mod.from_rows(
+        ("a", "b"), available, [(pair, row) for pair, row in keyed.items() if row],
+        [(pair, c) for pair, c in priced.items() if c is not None], init,
+        [frozenset({"pi"}), frozenset()])
+
+
+NAN = float("nan")
+
+
+# (build, rejected by the constructor, message): every malformed input
+# either fails to build or builds and is reported by validate
+MALFORMED = {
+    "init-out-of-range": (lambda: toy_b_rows(init=5), False,
+                          "init 5 is not a valid state index"),
+    "no-action": (lambda: toy_b_rows(available=((0, 1), ()), rows={(1, 0): None},
+                                     costs={(1, 0): None}), False,
+                  "no available action at state 1"),
+    "repeated-action": (lambda: dataclasses.replace(toy_b_rows(), action=np.array([0, 0, 0])),
+                        False, "repeated action at state 0"),
+    "missing-row": (lambda: toy_b_rows(rows={(0, 1): None}), True,
+                    "missing transition row at (0,b)"),
+    "row-for-unavailable-pair": (lambda: toy_b_rows(rows={(1, 1): [(0, 1.0)]}), True,
+                                 "transition row stored for unavailable pair (1,1)"),
+    "repeated-successor": (lambda: toy_b_rows(rows={(0, 1): [(1, 0.5), (1, 0.5)]}), False,
+                           "repeated successor at (0,b)"),
+    "successor-out-of-range": (lambda: toy_b_rows(rows={(0, 1): [(2, 1.0)]}), False,
+                               "successor out of range at (0,b)"),
+    "non-finite-probability": (lambda: toy_b_rows(rows={(0, 1): [(1, NAN)]}), False,
+                               "non-finite probability at (0,b)"),
+    "zero-probability": (lambda: toy_b_rows(rows={(0, 1): [(0, 0.0), (1, 1.0)]}), False,
+                         "probability outside (0,1] at (0,b)"),
+    "probability-above-one": (lambda: toy_b_rows(rows={(0, 1): [(0, 1.5), (1, -0.5)]}), False,
+                              "probability outside (0,1] at (0,b)"),
+    "row-sum-off-one": (lambda: toy_b_rows(rows={(0, 1): [(1, 0.9)]}), False,
+                        "row sum 0.9 != 1 at (0,b)"),
+    "missing-cost": (lambda: toy_b_rows(costs={(0, 1): None}), True, "missing cost at (0,b)"),
+    "cost-for-unavailable-pair": (lambda: toy_b_rows(costs={(1, 1): 1.0}), True,
+                                  "cost stored for unavailable pair (1,1)"),
+    "non-finite-cost": (lambda: toy_b_rows(costs={(0, 1): NAN}), False,
+                        "non-finite cost at (0,b)"),
+    "non-positive-cost": (lambda: toy_b_rows(costs={(0, 1): 0.0}), False,
+                          "non-positive cost at (0,b)"),
+}
+
+
+@pytest.mark.parametrize("build, rejected, message", MALFORMED.values(), ids=MALFORMED)
+def test_every_malformed_input_is_rejected_or_reported(build, rejected, message):
+    """What the arrays cannot hold, the constructor rejects; everything
+    else validate reports.  Saved and loaded again, the model is refused,
+    or repaired where the loader sums repeated successors and drops zero
+    entries."""
+    if rejected:
+        with pytest.raises(InvariantViolation, match=re.escape(message)):
+            build()
+        return
+    model = build()
+    assert message in mdp_mod.validate(model).violations
+    try:
+        again = mdp_mod.from_json_dict(mdp_mod.to_json_dict(model))
+    except (InvariantViolation, ParseError):
+        return
+    assert mdp_mod.validate(again).ok
+
+
 class TestModel:
     def test_validate_ok(self, toy_b):
         assert mdp_mod.validate(toy_b).ok
 
     def test_validate_collects_violations(self, toy_b):
-        bad = mdp_mod.LabeledMdp(
-            n_states=2,
-            actions=toy_b.actions,
-            available=toy_b.available,
-            succ=toy_b.succ,
-            prob=toy_b.prob,
-            cost={**toy_b.cost, (0, 0): -1.0},
-            init=5,
-            props=toy_b.props,
-            label=toy_b.label,
-        )
+        cost = toy_b.cost.copy()
+        cost[0] = -1.0  # the row of (0, a)
+        bad = dataclasses.replace(toy_b, cost=cost, init=5)
         report = mdp_mod.validate(bad)
         assert not report.ok
         text = " ".join(report.violations)
@@ -64,20 +126,21 @@ class TestModel:
         assert toy_b.pi_states("pi") == frozenset({0})
         assert toy_b.pi_states("other") == frozenset()
 
-    def test_predecessor_list_stored_only_when_whole(self, toy_b):
+    def test_predecessor_list_stored_only_when_whole(self, toy_b, monkeypatch):
         """Worker threads may ask for pred at the same time: the list is
-        stored on the model only after every row has been entered, so a
+        stored on the model only after the entries have been sorted, so a
         reader either builds its own or reads a complete one."""
+        argsort = np.argsort
 
-        class WatchedRows(dict):
-            def items(self):
-                for item in super().items():
-                    assert "pred" not in model.__dict__
-                    yield item
+        def watched(*args, **kwargs):
+            assert "pred" not in model.__dict__
+            return argsort(*args, **kwargs)
 
-        model = dataclasses.replace(toy_b, succ=WatchedRows(toy_b.succ))
+        model = dataclasses.replace(toy_b)
+        monkeypatch.setattr(np, "argsort", watched)
         assert model.pred is model.pred
-        assert model.pred == ([(0, 0), (1, 0)], [(0, 1)])
+        # rows 0, 1, 2 are (0, a), (0, b), (1, a)
+        assert model.pred == ([0, 2], [1])
 
 
 @st.composite
@@ -102,8 +165,9 @@ def oracle_is_proper(mdp, mu, target):
     """Backward breadth-first search from the target over the edges of
     mu's chain: proper iff it reaches every state."""
     pred = [[] for _ in mdp.states]
+    rows = keyed_rows(mdp)
     for i in mdp.states:
-        for j in mdp.succ[(i, mu.action(i))]:
+        for j in rows[(i, mu.action(i))][0]:
             pred[j].append(i)
     can_reach = set(target)
     frontier = list(target)
@@ -152,16 +216,13 @@ class TestJsonRoundTrip:
         assert mdp.actions == ("a", "b")
         assert mdp.available == ((0, 1), (0,))
         assert mdp.label[0] == frozenset({"pi"})
-        assert mdp.succ[(0, 1)] == (1,)
-        assert mdp.prob[(0, 1)] == (1.0,)
-        assert mdp.cost[(0, 0)] == 5.0
+        assert row_of(mdp, 0, 1) == ((1,), (1.0,), 1.0)
+        assert row_of(mdp, 0, 0)[2] == 5.0
 
     def test_round_trip(self, toy_b):
         again = mdp_mod.from_json_dict(mdp_mod.to_json_dict(toy_b))
         assert again.available == toy_b.available
-        assert again.cost == toy_b.cost
-        assert again.succ == toy_b.succ
-        assert again.prob == toy_b.prob
+        assert_same_model(again, toy_b)
 
     def test_unknown_top_level_key(self):
         data = toy_b_json()
@@ -185,7 +246,7 @@ class TestJsonRoundTrip:
         data = toy_b_json()
         data["trans"]["0,b"] = [[1, 1.0 + 5e-10]]
         mdp = mdp_mod.from_json_dict(data)
-        assert mdp.prob[(0, 1)] == (1.0,)
+        assert row_of(mdp, 0, 1)[1] == (1.0,)
 
     def test_bad_action_key(self):
         data = toy_b_json()
@@ -238,17 +299,17 @@ class TestRejectedInput:
         ((0, 1), (0.0, 1.0), "probability outside (0,1]"),
         ((2,), (1.0,), "successor out of range"),
         ((1, 1), (0.5, 0.5), "repeated successor"),
-        ((0, 1), (1.0,), "2 successors but 1 probabilities"),
     ])
-    def test_validate_rows(self, toy_b, succ, prob, message):
-        bad = dataclasses.replace(toy_b, succ={**toy_b.succ, (0, 1): succ},
-                                  prob={**toy_b.prob, (0, 1): prob})
+    def test_validate_rows(self, succ, prob, message):
+        bad = toy_b_rows(rows={(0, 1): list(zip(succ, prob))})
         report = mdp_mod.validate(bad)
         assert [v for v in report.violations if message in v] == [f"{message} at (0,b)"]
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_validate_cost(self, toy_b, value):
-        bad = dataclasses.replace(toy_b, cost={**toy_b.cost, (0, 1): value})
+        cost = toy_b.cost.copy()
+        cost[1] = value  # the row of (0, b)
+        bad = dataclasses.replace(toy_b, cost=cost)
         assert mdp_mod.validate(bad).violations == ("non-finite cost at (0,b)",)
 
     @pytest.mark.parametrize("name, value", [
@@ -313,8 +374,8 @@ class TestRejectedInput:
         data["trans"]["0,b"] = [[1.0, 1.0]]
         data["init"] = 0.0
         mdp = mdp_mod.from_json_dict(data)
-        assert mdp == mdp_mod.from_json_dict(toy_b_json())
-        assert type(mdp.init) is int and mdp.succ[(0, 1)] == (1,)
+        assert_same_model(mdp, mdp_mod.from_json_dict(toy_b_json()))
+        assert type(mdp.init) is int and row_of(mdp, 0, 1)[0] == (1,)
 
     def test_label_not_a_list(self):
         data = toy_b_json()
@@ -379,5 +440,6 @@ class TestAliasedKeys:
             mdp_mod.from_json_dict(data)
 
     def test_validate_reports_repeated_action(self, toy_b):
-        bad = dataclasses.replace(toy_b, available=((0, 0, 1), (0,)))
+        bad = dataclasses.replace(toy_b, action=np.array([0, 0, 0]))
+        assert bad.available == ((0, 0), (0,))
         assert mdp_mod.validate(bad).violations == ("repeated action at state 0",)

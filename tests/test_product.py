@@ -4,8 +4,10 @@ import pytest
 
 from conftest import (
     always_accepting_dra,
+    keyed_rows,
     pickup_delivery_dra,
     pickup_delivery_mdp,
+    row_of,
     two_amec_mdp,
 )
 from cyclesynth import amec as amec_mod, mdp as mdp_mod
@@ -42,7 +44,7 @@ class TestBuildProduct:
         i0 = product.index_of[(0, 0)]
         # leaving the pickup state while idle advances the automaton to
         # "just picked up"
-        succ = product.model.succ[(i0, 0)]
+        succ, _prob, _cost = row_of(product.model, i0, 0)
         assert set(product.pairs_of[j] for j in succ) == {(1, 1)}
 
     def test_only_reachable_states_kept(self):
@@ -58,24 +60,28 @@ class TestBuildProduct:
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
         i = product.index_of[(1, 1)]
-        row = zip(product.model.succ[(i, 0)], product.model.prob[(i, 0)])
+        row = zip(*row_of(product.model, i, 0)[:2])
         probs = {product.pairs_of[j][0]: p for j, p in row}
         assert probs == {2: pytest.approx(0.9), 1: pytest.approx(0.1)}
 
     def test_successor_table_in_mdp_row_order(self):
         """Each product row lists the product successors in the order of
-        the MDP row's successors and shares that row's probability tuple,
+        the MDP row's successors, with that row's probabilities and cost,
         which keeps product and MDP simulations on the same draws."""
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
+        rows, lifted = keyed_rows(mdp), keyed_rows(product.model)
+        assert len(lifted) == len(product.model.action)
         for i in product.states:
             s, q = product.pairs_of[i]
             q2 = product.dra.step(q, mdp.label[s])
             assert product.q_next[i] == q2
+            assert product.index[s * product.dra.n_states + q] == i
+            assert product.available(i) == mdp.available[s]
             for a in product.available(i):
-                expected = tuple(product.index_of[(j, q2)] for j in mdp.succ[(s, a)])
-                assert product.model.succ[(i, a)] == expected
-                assert product.model.prob[(i, a)] is mdp.prob[(s, a)]
+                succ, prob, cost = rows[(s, a)]
+                assert lifted[(i, a)] == (tuple(product.index_of[(j, q2)] for j in succ),
+                                          prob, cost)
 
     @pytest.mark.parametrize("model", [
         build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup").model,
@@ -84,19 +90,21 @@ class TestBuildProduct:
         pickup_component().mdp,
     ], ids=["pickup", "two_amec", "loaded", "component"])
     def test_predecessors_invert_rows(self, model):
-        """(i, a) is listed once in pred[j] exactly when j is a successor
-        of row (i, a), for the product, a loaded MDP and a component."""
+        """Row r is listed once in pred[j], in row order, exactly when j
+        is a successor of row r, for the product, a loaded MDP and a
+        component."""
+        ptr = model.entry_ptr
+        succ = [model.col[ptr[r]:ptr[r + 1]].tolist() for r in range(len(model.action))]
         assert len(model.pred) == model.n_states
         for j in model.states:
-            assert len(set(model.pred[j])) == len(model.pred[j])
-            assert set(model.pred[j]) == {key for key, row in model.succ.items() if j in row}
+            assert model.pred[j] == [r for r, row in enumerate(succ) if j in row]
 
     def test_costs_inherited(self):
         mdp = pickup_delivery_mdp()
         product = build_product(mdp, pickup_delivery_dra(), "pickup")
         i = product.index_of[(1, 1)]
-        assert product.model.cost[(i, 0)] == 5.0   # alpha
-        assert product.model.cost[(i, 1)] == 10.0  # beta
+        assert row_of(product.model, i, 0)[2] == 5.0   # alpha
+        assert row_of(product.model, i, 1)[2] == 10.0  # beta
 
     def test_as_mdp_valid(self):
         mdp = pickup_delivery_mdp()
@@ -146,3 +154,13 @@ class TestExecutablePolicy:
         assert (1, 0) not in product.index_of
         with pytest.raises(UntrackedState):
             controller.current_product_state(1)
+
+    def test_controller_shares_the_product_index(self):
+        """The controller reads the product's own s * n_q + q index: no
+        second table is built per controller, nor the (s, q) view."""
+        product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+        policy = StationaryPolicy({i: product.available(i)[0] for i in product.states})
+        controller = project_policy(product, policy)
+        assert controller.index is product.index
+        assert "index_of" not in vars(product)
+        assert controller.choice == [policy.choice[i] for i in product.states]

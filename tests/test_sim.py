@@ -5,18 +5,21 @@ from bisect import bisect_left
 from itertools import accumulate, islice
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     always_accepting_dra,
+    keyed_rows,
     make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
     random_cycle_problem,
     random_dra,
     single_policy,
+    with_row,
 )
 from cyclesynth import acpc, sim
 from cyclesynth.acpc import CycleProblem
@@ -59,12 +62,13 @@ def controller_steps(mdp, controller, seed, pi_states):
     uniform = Random(seed).random
     controller.reset()
     s, total, cycles = mdp.init, 0.0, 1
+    rows = keyed_rows(mdp)
     while True:
-        key = (s, controller.act(s))
-        cum = list(accumulate(mdp.prob[key]))
+        succ, prob, cost = rows[(s, controller.act(s))]
+        cum = list(accumulate(prob))
         cum[-1] = 1.0
-        total += mdp.cost[key]
-        s = mdp.succ[key][bisect_left(cum, uniform())]
+        total += cost
+        s = succ[bisect_left(cum, uniform())]
         cycles += s in pi_states
         yield total, cycles
 
@@ -252,9 +256,7 @@ class TestSimulateProduct:
         run that never samples the edge finishes."""
         mdp, _dra, result = self._solved()
         alpha = mdp.actions.index("alpha")
-        leaky = dataclasses.replace(
-            mdp, succ={**mdp.succ, (5, alpha): (1, 5, 6)},
-            prob={**mdp.prob, (5, alpha): (0.05, 0.1, 0.85)})
+        leaky = with_row(mdp, 5, alpha, (1, 5, 6), (0.05, 0.1, 0.85))
         pi = mdp.pi_states("pickup")
         controller = result.executable()
         message = ("run left the pruned product at MDP state 1, automaton state 0; "
@@ -288,8 +290,11 @@ class TestSimulateProduct:
         report as simulate_product on the real product."""
         mdp, _dra, result = self._solved()
         product, policy = result.product, result.stitched_policy
-        hollow = dataclasses.replace(
-            product, model=dataclasses.replace(product.model, succ={}, prob={}, cost={}))
+        empty = np.empty(0, dtype=np.int64)
+        hollow = dataclasses.replace(product, model=dataclasses.replace(
+            product.model, row_ptr=np.zeros(product.n_states + 1, dtype=np.int64),
+            action=empty, cost=np.empty(0), entry_ptr=np.zeros(1, dtype=np.int64), col=empty,
+            prob=np.empty(0)))
         executable = sim.simulate_executable(mdp, ExecutablePolicy(hollow, policy), 20_000,
                                              seed=8, pi_states=mdp.pi_states("pickup"))
         reference = sim.simulate_product(product, policy, 20_000, seed=8)

@@ -6,6 +6,7 @@ import tracemalloc
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from conftest import (
     always_accepting_dra,
     k_labelled_mdp,
     k_tracking_dra,
+    keyed_rows,
     make_mdp,
     pickup_delivery_dra,
     pickup_delivery_mdp,
@@ -44,18 +46,18 @@ class TestAmecCycleProblem:
         assert {ordered[i] for i in problem.pi_states} == comp.pi_states
         assert {ordered[i] for i in k_local} == comp.k_states
 
-    def test_rows_renumbered_and_shared(self):
+    def test_rows_renumbered(self):
         product = build_product(pickup_delivery_mdp(), pickup_delivery_dra(),
                                 "pickup")
         comp = amec_mod.accepting_amecs(product)[0]
         problem, _k, local, ordered = amec_cycle_problem(product, comp)
-        sub, model = problem.mdp, product.as_mdp()
-        assert mdp_mod.validate(sub).ok
+        sub, model = keyed_rows(problem.mdp), keyed_rows(product.as_mdp())
+        assert mdp_mod.validate(problem.mdp).ok
+        assert len(sub) == sum(len(comp.actions[g]) for g in ordered)
         for g in ordered:
             for a in comp.actions[g]:
-                assert sub.succ[(local[g], a)] == tuple(local[j] for j in model.succ[(g, a)])
-                assert sub.prob[(local[g], a)] is model.prob[(g, a)]
-                assert sub.cost[(local[g], a)] == model.cost[(g, a)]
+                succ, prob, cost = model[(g, a)]
+                assert sub[(local[g], a)] == (tuple(local[j] for j in succ), prob, cost)
 
 
 class TestSparseRows:
@@ -144,7 +146,7 @@ class TestSynthesize:
         reach check after them.  The answer must be the sequential one."""
         corridor, rooms = 5000, rooms_mdp(8)
         rows = {(k, "go"): [(k + 1, 1.0)] for k in range(corridor)}
-        for (i, a), row in rooms.succ.items():
+        for (i, a), (row, _prob, _cost) in keyed_rows(rooms).items():
             rows[(corridor + i, rooms.actions[a])] = [(corridor + j, 1.0) for j in row]
         costs = {key: 1.0 + key[0] % 3 for key in rows}
         mdp = make_mdp(corridor + rooms.n_states, rooms.actions, rows, costs,
@@ -190,8 +192,7 @@ class TestSynthesize:
         cost scales lambda and must not turn an optimal answer into
         notOptimal."""
         mdp = pickup_delivery_mdp()
-        scaled = dataclasses.replace(
-            mdp, cost={key: c * scale for key, c in mdp.cost.items()})
+        scaled = dataclasses.replace(mdp, cost=mdp.cost * scale)
         base = synthesize(mdp, pickup_delivery_dra(), "pickup").optimal_cost
         result = synthesize(scaled, pickup_delivery_dra(), "pickup")
         assert result.optimal
@@ -288,7 +289,8 @@ class TestSynthesize:
                              (1, "a"): [(2, 1.0)], (2, "a"): [(2, 1.0)]},
                        costs={(0, "a"): 1.0, (0, "b"): 1.0, (1, "a"): 1.0, (2, "a"): 1.0},
                        labels={0: ["pi"], 2: ["bad"]})
-        mdp = dataclasses.replace(mdp, available=((0, 0, 1), (0,), (0,)))
+        mdp = dataclasses.replace(mdp, action=np.array([0, 0, 0, 0]))
+        assert mdp.available == ((0, 0), (0,), (0,))
         symbols = [frozenset(), frozenset({"pi"}), frozenset({"bad"}), frozenset({"pi", "bad"})]
         dra = Dra(n_states=2, ap=("pi", "bad"), start=0,
                   pairs=(RabinPair(L=frozenset({1}), K=frozenset({0})),),
