@@ -397,17 +397,13 @@ def _initial_policy(problem: CycleProblem, k_states):
     cycle set if that class misses it.
     """
     mdp = problem.mdp
-    k_star = min(k_states)
-    choice = list(_tree_policy(mdp, {k_star}))
     every = np.ones(len(mdp.action), dtype=bool)
-    repaired = _constrained_select(problem, tuple(choice), every, k_states)
-    if repaired is not None:
-        return repaired
-    # fall back to a tree toward the cycle set (always proper), then repair K
-    choice = _tree_policy(mdp, problem.pi_states)
-    repaired = _constrained_select(problem, choice, every, k_states)
-    if repaired is not None:
-        return repaired
+    # a tree toward a K state, else toward the cycle set (always proper), then repair K
+    for targets in ({min(k_states)}, problem.pi_states):
+        choice = _tree_policy(mdp, targets)
+        repaired = _constrained_select(problem, choice, every, k_states)
+        if repaired is not None:
+            return repaired
     return choice, _chain_classes(mdp, choice)
 
 

@@ -40,53 +40,41 @@ def maximal_end_components(product: ProductMdp, restrict=None):
     kept = {i: range(ptr[i], ptr[i + 1]) for i in alive}  # the rows each state keeps
 
     def prune(states):
-        """Drop the rows escaping `states` and collect the successors of
-        the rest in one pass, then drop action-less states; each removed
-        state j drops the kept rows in pred[j] (the worklist form of Baier
-        & Katoen 2008, 10.6), and a state that lost a row that way collects
-        its successors again.  Returns the surviving states and the
-        successors of each one's kept rows."""
+        """Drop the rows escaping `states`, then action-less states; each
+        removed state j drops the kept rows in pred[j] (the worklist form
+        of Baier & Katoen 2008, 10.6), so a row is read once by the pass
+        and once per removed successor.  Returns the surviving states."""
         states = set(states)
-        removed, edges = [], {}
+        removed = []
         for i in states:
-            rows, edges[i] = [], []
-            for r in kept[i]:
-                row = col[at[r]:at[r + 1]]
-                if states.issuperset(row):
-                    rows.append(r)
-                    edges[i] += row
-            kept[i] = rows
-            if not rows:
+            kept[i] = [r for r in kept[i] if states.issuperset(col[at[r]:at[r + 1]])]
+            if not kept[i]:
                 removed.append(i)
         states.difference_update(removed)
-        touched = set()
         while removed:
             for r in pred[removed.pop()]:
                 i = state[r]
                 if i in states and r in kept[i]:
                     kept[i].remove(r)
-                    touched.add(i)
                     if not kept[i]:
                         states.discard(i)
                         removed.append(i)
-        for i in touched & states:
-            edges[i] = [j for r in kept[i] for j in col[at[r]:at[r + 1]]]
-        return states, edges
+        return states
 
     components = []
-    work = [alive]  # blocks to prune; the edges of one block are held at a time
+    work = [prune(alive)]
     while work:
-        block, edges = prune(work.pop())
+        block = work.pop()
         if not block:
             continue
         nodes = sorted(block)
         pos = {i: k for k, i in enumerate(nodes)}
-        groups = numerics._tarjan_scc(len(nodes), [sorted({pos[j] for j in edges[i]})
-                                                   for i in nodes])
+        edges = [sorted({pos[j] for r in kept[i] for j in col[at[r]:at[r + 1]]}) for i in nodes]
+        groups = numerics._tarjan_scc(len(nodes), edges)
         if len(groups) == 1:
             components.append(block)
         else:
-            work.extend([nodes[k] for k in grp] for grp in groups)
+            work.extend(prune(nodes[k] for k in grp) for grp in groups)
     return sorted([(frozenset(block),
                     {i: tuple(sorted([action[r] for r in kept[i]])) for i in sorted(block)})
                    for block in components], key=lambda item: sorted(item[0]))

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import InvariantViolation, ParseError
-from .mdp import _check_unaliased, _of_kind, json_index
+from .mdp import _check_unaliased, _int, _of_kind, json_index
 
 _DRA_KEYS = {"states", "ap", "start", "pairs", "trans"}
 
@@ -129,14 +129,6 @@ def from_json_dict(data: dict) -> Dra:
 
 def _state_key(key: str) -> int:
     return _int(key, f"state key {key!r} is not an integer", key=key)
-
-
-def _int(text: str, message: str, **where) -> int:
-    """int(text), or ParseError(message, **where) if text is not an integer."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(message, **where) from None
 
 
 def parse_json(text: str) -> Dra:

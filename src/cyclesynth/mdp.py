@@ -72,6 +72,23 @@ class LabeledMdp:
     props: frozenset[str]
     label: tuple[frozenset[str], ...]
 
+    def __post_init__(self):
+        """InvariantViolation unless the arrays fit together: each has its
+        length, and each pointer array runs from 0, never decreasing, to
+        the length of the arrays it points into."""
+        n_rows, n_entries = len(self.action), len(self.col)
+        bad = [f"{name} has {len(values)} entries, expected {size}" for name, values, size in (
+            ("row_ptr", self.row_ptr, self.n_states + 1), ("cost", self.cost, n_rows),
+            ("entry_ptr", self.entry_ptr, n_rows + 1), ("prob", self.prob, n_entries),
+            ("label", self.label, self.n_states)) if len(values) != size]
+        bad += [f"{name} does not run from 0 up to {end}" for name, ptr, end in (
+            ("row_ptr", self.row_ptr, n_rows), ("entry_ptr", self.entry_ptr, n_entries))
+            if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != end or np.any(np.diff(ptr) < 0)]
+        if np.any((self.action < 0) | (self.action >= len(self.actions))):
+            bad.append("action index out of range")
+        if bad:
+            raise InvariantViolation("; ".join(bad))
+
     @property
     def states(self) -> range:
         return range(self.n_states)
@@ -449,11 +466,16 @@ def _check_unaliased(keys, parsed, parse):
         first[entry] = key
 
 
-def _parse_state_key(key: str, n: int) -> int:
+def _int(text: str, message: str, **where) -> int:
+    """int(text), or ParseError(message, **where) if text is not an integer."""
     try:
-        i = int(key)
+        return int(text)
     except ValueError:
-        raise ParseError(f"state key {key!r} is not an integer", key=key) from None
+        raise ParseError(message, **where) from None
+
+
+def _parse_state_key(key: str, n: int) -> int:
+    i = _int(key, f"state key {key!r} is not an integer", key=key)
     if not 0 <= i < n:
         raise ParseError(f"state key {i} out of range", key=key)
     return i

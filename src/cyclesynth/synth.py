@@ -60,19 +60,19 @@ class SynthesisResult:
 
 def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
                        ) -> tuple[CycleProblem, frozenset[int], dict[int, int], list[int]]:
-    """Restrict the product to a component: a mask keeps its states' rows
-    whose successors stay inside (for a maximal end component, exactly its
-    retained actions), renumbered to 0..m-1 in state order.  Returns the
-    cycle problem, the local K set and the local<->global index maps."""
+    """Restrict the product to a component: a mask keeps the rows of its
+    states' retained actions, renumbered to 0..m-1 in state order.
+    Returns the cycle problem, the local K set and the local<->global
+    index maps."""
     model = product.model
     ordered = sorted(component.states)
     states = np.array(ordered, dtype=np.int64)
     ptr, rows = model.rows_at(states)
-    entry_ptr, col, _ = model.chain(rows)
-    keep = np.logical_and.reduceat(np.isin(col, states), entry_ptr[:-1])
+    keep = np.array([a in component.actions[g] for g, a in
+                     zip(model.row_state[rows].tolist(), model.action[rows].tolist())], dtype=bool)
+    _, col, _ = model.chain(rows[keep])
     sub = model.take(np.concatenate(([0], np.cumsum(keep)))[ptr], rows[keep],
-                     np.searchsorted(states, col[np.repeat(keep, np.diff(entry_ptr))]),
-                     [model.label[g] for g in ordered], model.props)
+                     np.searchsorted(states, col), [model.label[g] for g in ordered], model.props)
     local = {g: k for k, g in enumerate(ordered)}
     problem = CycleProblem(mdp=sub, pi_states=frozenset(local[g] for g in component.pi_states))
     k_local = frozenset(local[g] for g in component.k_states)

@@ -78,6 +78,23 @@ MALFORMED = {
     "non-positive-cost": (lambda: toy_b_rows(costs={(0, 1): 0.0}), False,
                           "non-positive cost at (0,b)"),
 }
+# arrays that do not fit together, which the constructor rejects
+for name, field, value, message in [
+    ("fewer-probabilities-than-successors", "prob", np.array([1.0, 1.0]),
+     "prob has 2 entries, expected 3"),
+    ("fewer-costs-than-rows", "cost", np.array([5.0, 1.0]), "cost has 2 entries, expected 3"),
+    ("label-short", "label", (frozenset({"pi"}),), "label has 1 entries, expected 2"),
+    ("row-pointer-short", "row_ptr", np.array([0, 2]), "row_ptr has 2 entries, expected 3"),
+    ("row-pointer-not-from-0", "row_ptr", np.array([1, 2, 3]),
+     "row_ptr does not run from 0 up to 3"),
+    ("entry-pointer-decreasing", "entry_ptr", np.array([0, 2, 1, 3]),
+     "entry_ptr does not run from 0 up to 3"),
+    ("entry-pointer-past-the-entries", "entry_ptr", np.array([0, 1, 2, 4]),
+     "entry_ptr does not run from 0 up to 3"),
+    ("action-out-of-range", "action", np.array([0, 2, 0]), "action index out of range"),
+]:
+    MALFORMED[name] = (lambda field=field, value=value: dataclasses.replace(
+        toy_b_rows(), **{field: value}), True, message)
 
 
 @pytest.mark.parametrize("build, rejected, message", MALFORMED.values(), ids=MALFORMED)
