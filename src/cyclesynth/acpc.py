@@ -26,7 +26,7 @@ from .errors import (
     NumericalFailure,
     TooLarge,
 )
-from .mdp import LabeledMdp, StationaryPolicy, is_communicating, is_proper
+from .mdp import LabeledMdp, StationaryPolicy, _chain_classes, is_communicating, is_proper
 
 EVAL_TOL = 1e-8
 TIE_TOL = 1e-9
@@ -330,13 +330,6 @@ def _argmin_rows(mdp: LabeledMdp, values, allowed=None) -> np.ndarray:
     best = mdp.segment_min(values)
     best += TIE_TOL * np.maximum(1.0, np.abs(best))
     return values <= best[mdp.row_state]
-
-
-def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
-    col, at = mdp.successor_lists()
-    classes, _ = numerics._bottom_classes([sorted(col[at[r]:at[r + 1]])
-                                           for r in mdp.rows_of(choice).tolist()])
-    return classes
 
 
 def _policy_conditions(problem: CycleProblem, classes, k_states):

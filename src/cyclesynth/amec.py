@@ -19,44 +19,43 @@ class Amec:
     meets K and avoids L for some acceptance pair."""
 
     states: frozenset[int]
-    actions: dict[int, tuple[int, ...]]  # retained actions per member state
+    rows: tuple[int, ...]  # the product rows it keeps, ascending
     k_states: frozenset[int]
     pi_states: frozenset[int]
     pair_index: int
 
 
 def maximal_end_components(product: ProductMdp, restrict=None):
-    """Iterative SCC refinement: drop actions leaving the candidate set,
-    then states without actions, until a fixpoint; nontrivial bottom
-    pieces are the maximal end components.
+    """Iterative SCC refinement: drop rows leaving the candidate set,
+    then states without rows, until a fixpoint; nontrivial bottom pieces
+    are the maximal end components, returned with the rows they keep.
 
     restrict optionally limits the state set considered (used by the
     accepting filter to excise L states).
     """
     model = product.model
     (col, at), pred = model.successor_lists(), model.pred
-    state, ptr, action = model.row_state.tolist(), model.row_ptr.tolist(), model.action.tolist()
+    state, ptr = model.row_state.tolist(), model.row_ptr.tolist()
     alive = set(product.states if restrict is None else restrict)
-    kept = {i: range(ptr[i], ptr[i + 1]) for i in alive}  # the rows each state keeps
+    kept = bytearray([1]) * len(state)  # row r is kept until it leaves its state's block
 
     def prune(states):
-        """Drop the rows escaping `states`, then action-less states; each
+        """Drop the rows escaping `states`, then row-less states; each
         removed state j drops the kept rows in pred[j] (the worklist form
         of Baier & Katoen 2008, 10.6), so a row is read once by the pass
         and once per removed successor.  Returns the surviving states."""
         states = set(states)
-        removed = []
         for i in states:
-            kept[i] = [r for r in kept[i] if states.issuperset(col[at[r]:at[r + 1]])]
-            if not kept[i]:
-                removed.append(i)
+            for r in range(ptr[i], ptr[i + 1]):
+                kept[r] = kept[r] and states.issuperset(col[at[r]:at[r + 1]])
+        removed = [i for i in states if kept.find(1, ptr[i], ptr[i + 1]) < 0]
         states.difference_update(removed)
         while removed:
             for r in pred[removed.pop()]:
                 i = state[r]
-                if i in states and r in kept[i]:
-                    kept[i].remove(r)
-                    if not kept[i]:
+                if kept[r] and i in states:
+                    kept[r] = 0
+                    if kept.find(1, ptr[i], ptr[i + 1]) < 0:
                         states.discard(i)
                         removed.append(i)
         return states
@@ -69,40 +68,35 @@ def maximal_end_components(product: ProductMdp, restrict=None):
             continue
         nodes = sorted(block)
         pos = {i: k for k, i in enumerate(nodes)}
-        edges = [sorted({pos[j] for r in kept[i] for j in col[at[r]:at[r + 1]]}) for i in nodes]
+        edges = [sorted({pos[j] for r in range(ptr[i], ptr[i + 1]) if kept[r]
+                         for j in col[at[r]:at[r + 1]]}) for i in nodes]
         groups = numerics._tarjan_scc(len(nodes), edges)
         if len(groups) == 1:
-            components.append(block)
+            components.append(nodes)
         else:
             work.extend(prune(nodes[k] for k in grp) for grp in groups)
-    return sorted([(frozenset(block),
-                    {i: tuple(sorted([action[r] for r in kept[i]])) for i in sorted(block)})
-                   for block in components], key=lambda item: sorted(item[0]))
+    return [(frozenset(nodes),
+             tuple([r for i in nodes for r in range(ptr[i], ptr[i + 1]) if kept[r]]))
+            for nodes in sorted(components)]
 
 
 def accepting_amecs(product: ProductMdp) -> list[Amec]:
     """Per acceptance pair: remove the L states, decompose the remainder
-    into MECs and keep those meeting K.  Structurally identical
-    components found under several pairs are kept once."""
-    seen = set()
-    result = []
+    into MECs and keep those meeting K.  A component found under several
+    pairs is kept once: its states determine it, as it keeps exactly
+    their rows whose successors all stay inside."""
+    found = {}
     for idx, (L, K) in enumerate(product.lifted_pairs):
-        allowed = set(product.states) - L
-        for states, act_map in maximal_end_components(product, restrict=allowed):
-            if not states & K:
-                continue
-            key = (states, tuple(sorted(act_map.items())))
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(Amec(
-                states=states,
-                actions=act_map,
-                k_states=frozenset(states & K),
-                pi_states=frozenset(states & product.pi_states),
-                pair_index=idx,
-            ))
-    return result
+        for states, rows in maximal_end_components(product, restrict=set(product.states) - L):
+            if states & K and states not in found:
+                found[states] = Amec(
+                    states=states,
+                    rows=rows,
+                    k_states=frozenset(states & K),
+                    pi_states=frozenset(states & product.pi_states),
+                    pair_index=idx,
+                )
+    return list(found.values())
 
 
 def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:

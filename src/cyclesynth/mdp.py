@@ -304,10 +304,16 @@ def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    rows = mdp.rows_of([mu.action(i) for i in mdp.states])
-    col, at = mdp.successor_lists()
-    classes, _ = numerics._bottom_classes([col[at[r]:at[r + 1]] for r in rows.tolist()])
+    classes = _chain_classes(mdp, [mu.action(i) for i in mdp.states])
     return all(not target.isdisjoint(c) for c in classes)
+
+
+def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
+    """Recurrent classes of the chain taking action choice[i] at state i."""
+    col, at = mdp.successor_lists()
+    classes, _ = numerics._bottom_classes([col[at[r]:at[r + 1]]
+                                           for r in mdp.rows_of(choice).tolist()])
+    return classes
 
 
 def is_communicating(mdp: LabeledMdp) -> bool:
@@ -343,14 +349,16 @@ def from_json_dict(data: dict) -> LabeledMdp:
         extra = set(s) - {"id", "label"}
         if extra:
             raise ParseError(f"unknown keys {sorted(extra)} in state {i}")
-        labels[i] = frozenset(_of_kind(s.get("label", []), list, "label"))
-    actions = tuple(_of_kind(data["actions"], list, "actions"))
+        labels[i] = frozenset(_names(s.get("label", []), "proposition", "label"))
+    actions = tuple(_names(data["actions"], "action name", "actions"))
     act_idx = {a: k for k, a in enumerate(actions)}
+    if len(act_idx) != len(actions):
+        raise ParseError("repeated action name", key="actions")
     listed: dict[int, tuple[int, ...]] = {}
     for key, acts in _of_kind(data["available"], dict, "available").items():
         i = _parse_state_key(key, n)
         try:
-            listed[i] = tuple(act_idx[a] for a in _of_kind(acts, list, key))
+            listed[i] = tuple(act_idx[a] for a in _names(acts, "action", key))
         except KeyError as exc:
             raise ParseError(f"unknown action {exc} at state {i}", key=key) from exc
         if len(set(listed[i])) != len(listed[i]):
@@ -447,6 +455,14 @@ def _of_kind(value, kind: type, key: str | None):
     if not isinstance(value, kind):
         expected = "an object" if kind is dict else "an array"
         raise ParseError(f"expected {expected}, got {type(value).__name__}", key=key)
+    return value
+
+
+def _names(value, what: str, key: str) -> list[str]:
+    """value itself, or ParseError unless it is a JSON array of strings."""
+    for name in _of_kind(value, list, key):
+        if not isinstance(name, str):
+            raise ParseError(f"{what} {name!r} is not a string", key=key)
     return value
 
 

@@ -60,18 +60,14 @@ class SynthesisResult:
 
 def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
                        ) -> tuple[CycleProblem, frozenset[int], dict[int, int], list[int]]:
-    """Restrict the product to a component: a mask keeps the rows of its
-    states' retained actions, renumbered to 0..m-1 in state order.
-    Returns the cycle problem, the local K set and the local<->global
-    index maps."""
+    """Restrict the product to a component: gather the rows it keeps, in
+    state order, with its states renumbered 0..m-1.  Returns the cycle
+    problem, the local K set and the local<->global index maps."""
     model = product.model
     ordered = sorted(component.states)
-    states = np.array(ordered, dtype=np.int64)
-    ptr, rows = model.rows_at(states)
-    keep = np.array([a in component.actions[g] for g, a in
-                     zip(model.row_state[rows].tolist(), model.action[rows].tolist())], dtype=bool)
-    _, col, _ = model.chain(rows[keep])
-    sub = model.take(np.concatenate(([0], np.cumsum(keep)))[ptr], rows[keep],
+    states, rows = np.array(ordered, dtype=np.int64), np.array(component.rows, dtype=np.int64)
+    _, col, _ = model.chain(rows)
+    sub = model.take(np.append(np.searchsorted(rows, model.row_ptr[states]), len(rows)), rows,
                      np.searchsorted(states, col), [model.label[g] for g in ordered], model.props)
     local = {g: k for k, g in enumerate(ordered)}
     problem = CycleProblem(mdp=sub, pi_states=frozenset(local[g] for g in component.pi_states))

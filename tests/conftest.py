@@ -65,6 +65,13 @@ def assert_same_model(a, b):
         b.n_states, b.actions, b.init, b.label, b.props)
 
 
+def action_rows(mdp, actions) -> tuple[int, ...]:
+    """The rows, ascending, that take the actions of {state: action
+    indices}."""
+    row = {key: r for r, key in enumerate(keyed_rows(mdp))}
+    return tuple(sorted(row[(i, a)] for i, acts in actions.items() for a in acts))
+
+
 def successor_table(mdp) -> dict:
     """{(state, action index): successors}, read from the model's arrays."""
     return {key: row[0] for key, row in keyed_rows(mdp).items()}

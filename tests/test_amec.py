@@ -5,6 +5,7 @@ from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
 from conftest import (
+    action_rows,
     always_accepting_dra,
     make_mdp,
     pickup_delivery_dra,
@@ -28,10 +29,10 @@ class TestMaximalEndComponents:
         product = build_product(toy_b, always_accepting_dra(), "pi")
         mecs = amec_mod.maximal_end_components(product)
         assert len(mecs) == 1
-        states, actions = mecs[0]
+        states, rows = mecs[0]
         assert states == frozenset(product.states)
         # both actions at state 0 keep the play inside
-        assert actions[0] == (0, 1)
+        assert rows == action_rows(product.model, {0: (0, 1), 1: (0,)})
 
     def test_trap_region_is_its_own_mec(self):
         product = pd_product()
@@ -41,13 +42,15 @@ class TestMaximalEndComponents:
         assert len(trap) == 1  # the violation region is closed and communicating
 
     def test_closed_under_retained_actions(self):
+        """A component keeps exactly its states' rows whose successors
+        stay inside, and at least one row at each state."""
         product = pd_product()
         succ = successor_table(product.model)
-        for states, actions in amec_mod.maximal_end_components(product):
-            for i in states:
-                assert actions[i]
-                for a in actions[i]:
-                    assert set(succ[(i, a)]) <= states
+        keys = list(succ)  # in row order
+        for states, rows in amec_mod.maximal_end_components(product):
+            assert rows == tuple(r for r, (i, a) in enumerate(keys)
+                                 if i in states and set(succ[(i, a)]) <= states)
+            assert {keys[r][0] for r in rows} == states
 
     def test_two_disjoint_components(self):
         product = build_product(two_amec_mdp(), always_accepting_dra(), "pi")
@@ -75,8 +78,9 @@ class TestAcceptingAmecs:
         # at cell 4 must have been dropped, the idle jump at 8 kept
         i_carry4 = product.index_of[(4, 2)]
         i_idle8 = product.index_of[(8, 0)]
-        assert comp.actions[i_carry4] == (0,)
-        assert comp.actions[i_idle8] == (0, 1)
+        kept = [(product.model.row_state[r], product.model.action[r]) for r in comp.rows]
+        assert [a for i, a in kept if i == i_carry4] == [0]
+        assert [a for i, a in kept if i == i_idle8] == [0, 1]
 
     def test_trap_component_not_accepting(self):
         product = pd_product()
@@ -229,7 +233,7 @@ def reach_problems(draw):
 
 
 def component(states):
-    return amec_mod.Amec(states=states, actions={}, k_states=states,
+    return amec_mod.Amec(states=states, rows=(), k_states=states,
                          pi_states=frozenset(), pair_index=0)
 
 
@@ -323,6 +327,13 @@ def oracle_mecs(product, restrict=None):
     return out
 
 
+def oracle_mec_rows(product, restrict=None):
+    """oracle_mecs with each component's retained actions given as the
+    product rows that take them, the form the decomposition returns."""
+    return [(states, action_rows(product.model, act_map))
+            for states, act_map in oracle_mecs(product, restrict)]
+
+
 @st.composite
 def mec_problems(draw):
     """Random pickup-delivery products, with or without a restriction."""
@@ -337,7 +348,7 @@ class TestAgainstRescanOracle:
     @given(mec_problems())
     def test_same_components_and_actions(self, problem):
         product, restrict = problem
-        expected = oracle_mecs(product, restrict)
+        expected = oracle_mec_rows(product, restrict)
         target(float(sum(len(s) for s, _ in expected)), label="component states")
         assert amec_mod.maximal_end_components(product, restrict) == expected
 
@@ -345,7 +356,7 @@ class TestAgainstRescanOracle:
     @given(pd_products())
     def test_same_accepting_components(self, product):
         found = amec_mod.accepting_amecs(product)
-        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mecs):
+        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mec_rows):
             expected = amec_mod.accepting_amecs(product)
         assert found == expected
 
@@ -409,7 +420,7 @@ class TestLinearWork:
         reads[0] = 0
         amec_mod.maximal_end_components(product)
         assert reads[0] <= 6339
-        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mecs):
+        with mock.patch.object(amec_mod, "maximal_end_components", oracle_mec_rows):
             assert found == amec_mod.accepting_amecs(product)
 
     def test_reach_set_reads_each_row_at_most_twice(self, monkeypatch):

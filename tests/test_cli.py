@@ -168,6 +168,17 @@ class TestSimulateCommand:
                      "--seed", "2"]) == 0
         assert "cycles" in capsys.readouterr().out
 
+    def test_label_not_a_string_exit_one(self, tmp_path, capsys):
+        """A label [1] used to load, and simulate without --pi then died
+        with a TypeError traceback from sorting the propositions."""
+        policy = self._policy(tmp_path)
+        mdp = _mdp_with(lambda d: d["states"][1]["label"].append(1))
+        capsys.readouterr()
+        assert main(["simulate", "--mdp", _write_json(tmp_path / "mdp.json", mdp),
+                     "--dra", PD_DRA, "--policy", str(policy), "--stages", "10"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: proposition 1 is not a string (key 'label')"]
+
     def test_mismatched_policy_rejected(self, tmp_path, capsys):
         policy = self._policy(tmp_path)
         data = json.loads(policy.read_text())

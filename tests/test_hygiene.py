@@ -211,7 +211,6 @@ def test_one_row_representation():
     dict."""
     from conftest import pickup_delivery_dra, pickup_delivery_mdp
     from cyclesynth.amec import accepting_amecs
-    from cyclesynth.mdp import LabeledMdp
     from cyclesynth.product import build_product
     from cyclesynth.synth import amec_cycle_problem
 
@@ -219,7 +218,8 @@ def test_one_row_representation():
             for hit in keyed_row_tables(path.read_text())] == []
     mdp = pickup_delivery_mdp()
     product = build_product(mdp, pickup_delivery_dra(), "pickup")
-    component, *_ = amec_cycle_problem(product, accepting_amecs(product)[0])
-    for model in (mdp, product.model, component.mdp):
-        assert [f.name for f in dataclasses.fields(LabeledMdp)
-                if isinstance(getattr(model, f.name), dict) or "dict" in str(f.type)] == []
+    component = accepting_amecs(product)[0]
+    problem, *_ = amec_cycle_problem(product, component)
+    for record in (mdp, product.model, problem.mdp, component):
+        assert [f.name for f in dataclasses.fields(record)
+                if isinstance(getattr(record, f.name), dict) or "dict" in str(f.type)] == []

@@ -420,6 +420,31 @@ class TestRejectedInput:
             mdp_mod.from_json_dict(data)
 
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["states"][0].update(label=[1]),
+         "proposition 1 is not a string (key 'label')"),
+        (lambda d: d["states"][1].update(label=[None]),
+         "proposition None is not a string (key 'label')"),
+        (lambda d: d["states"][0].update(label=["pi", ["pi"]]),
+         "proposition ['pi'] is not a string (key 'label')"),
+        (lambda d: d.update(actions=["a", ["b"]]),
+         "action name ['b'] is not a string (key 'actions')"),
+        (lambda d: d["available"].update({"1": [["a"]]}),
+         "action ['a'] is not a string (key '1')"),
+        (lambda d: d.update(actions=["a", "b", "a"]),
+         "repeated action name (key 'actions')"),
+    ], ids=["label-number", "label-null", "label-array", "action-name-array",
+            "available-array", "repeated-action-name"])
+    def test_name_not_a_string(self, edit, message):
+        """Names are strings, and an action name is listed once: a label
+        [1] loaded and broke sorting the propositions, and an array
+        raised a bare TypeError."""
+        data = toy_b_json()
+        edit(data)
+        with pytest.raises(ParseError, match=re.escape(message)):
+            mdp_mod.from_json_dict(data)
+
+
 class TestAliasedKeys:
     """int() reads " 1", "+1" and "0_1" as integers, so two keys of one
     object can name one entry.  The load names both keys instead of

@@ -42,7 +42,8 @@ def keyed(mdp) -> SimpleNamespace:
 
 # ---------------------------------------------------------------------------
 # The keyed builders as they were before the rows became arrays, kept
-# verbatim but for their names and the containers they fill
+# verbatim but for their names, the containers they fill and, for a
+# component, where its kept actions come from
 # ---------------------------------------------------------------------------
 
 def oracle_pred(model) -> tuple[list[tuple[int, int]], ...]:
@@ -124,14 +125,18 @@ def oracle_build_product(mdp, dra, pi: str):
 
 def oracle_amec_cycle_problem(product, component):
     """Restrict the product to a component, renumbering its states to
-    0..m-1; the rows keep their probability tuples.  Returns the cycle
-    problem, the local K set and the local<->global index maps."""
+    0..m-1; the rows keep their probability tuples.  A maximal end
+    component keeps at each state the actions whose successors all stay
+    inside.  Returns the cycle problem, the local K set and the
+    local<->global index maps."""
     model = product.model
     ordered = sorted(component.states)
+    retained = {g: tuple(a for a in model.available[g]
+                         if component.states.issuperset(model.succ[(g, a)])) for g in ordered}
     local = {g: k for k, g in enumerate(ordered)}
     succ, prob, cost = {}, {}, {}
     for k, g in enumerate(ordered):
-        for a in component.actions[g]:
+        for a in retained[g]:
             key = (k, a)
             succ[key] = tuple(local[j] for j in model.succ[(g, a)])
             prob[key] = model.prob[(g, a)]
@@ -139,7 +144,7 @@ def oracle_amec_cycle_problem(product, component):
     sub = KeyedMdp(
         n_states=len(ordered),
         actions=model.actions,
-        available=tuple(component.actions[g] for g in ordered),
+        available=tuple(retained[g] for g in ordered),
         succ=succ,
         prob=prob,
         cost=cost,

@@ -41,8 +41,10 @@ class TestAmecCycleProblem:
         problem, k_local, local, ordered = amec_cycle_problem(product, comp)
         assert problem.mdp.n_states == len(comp.states)
         assert sorted(local[g] for g in ordered) == list(range(len(ordered)))
-        for g in ordered:
-            assert problem.mdp.available[local[g]] == comp.actions[g]
+        model = product.model
+        rows = list(comp.rows)
+        assert problem.mdp.action.tolist() == model.action[rows].tolist()
+        assert [ordered[k] for k in problem.mdp.row_state] == model.row_state[rows].tolist()
         assert {ordered[i] for i in problem.pi_states} == comp.pi_states
         assert {ordered[i] for i in k_local} == comp.k_states
 
@@ -53,11 +55,12 @@ class TestAmecCycleProblem:
         problem, _k, local, ordered = amec_cycle_problem(product, comp)
         sub, model = keyed_rows(problem.mdp), keyed_rows(product.as_mdp())
         assert mdp_mod.validate(problem.mdp).ok
-        assert len(sub) == sum(len(comp.actions[g]) for g in ordered)
-        for g in ordered:
-            for a in comp.actions[g]:
-                succ, prob, cost = model[(g, a)]
-                assert sub[(local[g], a)] == (tuple(local[j] for j in succ), prob, cost)
+        assert len(sub) == len(comp.rows)
+        keys = list(model)  # in row order
+        for r in comp.rows:
+            g, a = keys[r]
+            succ, prob, cost = model[(g, a)]
+            assert sub[(local[g], a)] == (tuple(local[j] for j in succ), prob, cost)
 
 
 class TestSparseRows:
