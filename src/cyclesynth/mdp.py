@@ -189,14 +189,15 @@ class LabeledMdp:
             raise PolicyIncomplete(f"action {choice[i]} is not available at state {i}")
         return rows
 
-    def take(self, row_ptr, rows, col, label, props) -> LabeledMdp:
+    def take(self, row_ptr, rows, successors, label, props) -> LabeledMdp:
         """The model, initial state 0, whose state k owns this one's rows
-        rows[row_ptr[k]:row_ptr[k+1]], but with successors col."""
-        entry_ptr, _, prob = self.chain(rows)
+        rows[row_ptr[k]:row_ptr[k+1]], but with successors(col) in place
+        of the successor columns col of those rows' entries (one gather)."""
+        entry_ptr, col, prob = self.chain(rows)
         return LabeledMdp(n_states=len(row_ptr) - 1, actions=self.actions, row_ptr=row_ptr,
                           action=self.action[rows], cost=self.cost[rows], entry_ptr=entry_ptr,
-                          col=np.asarray(col, dtype=np.int64), prob=prob, init=0, props=props,
-                          label=tuple(label))
+                          col=np.asarray(successors(col), dtype=np.int64), prob=prob, init=0,
+                          props=props, label=tuple(label))
 
     def rows_at(self, states) -> tuple[np.ndarray, np.ndarray]:
         """(ptr, rows): rows[ptr[k]:ptr[k+1]] are the rows of states[k]."""

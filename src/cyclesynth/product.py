@@ -91,7 +91,7 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
         lifted.append((L, K))
     pi_states = frozenset(i for i, (s, _q) in enumerate(pairs_of) if pi in mdp.label[s])
     marked = frozenset([pi])
-    model = mdp.take(*mdp.rows_at([s for s, _q in pairs_of]), col,
+    model = mdp.take(*mdp.rows_at([s for s, _q in pairs_of]), lambda _mdp_col: col,
                      [marked if i in pi_states else frozenset() for i in range(len(pairs_of))],
                      marked)
     return ProductMdp(

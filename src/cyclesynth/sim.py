@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import repeat
 from random import Random
+
+import numpy as np
 
 from .mdp import LabeledMdp, StationaryPolicy
 from .product import ExecutablePolicy, ProductMdp
@@ -63,66 +65,120 @@ class SimReport:
         return out
 
 
-def _row(views, r: int) -> tuple[list[float], list[int], float]:
-    """(cumulative probabilities, successors, cost) of row r, read from list
-    views of a model's entry_ptr, col, prob and cost."""
-    ptr, col, prob, cost = views
-    cum = list(accumulate(prob[ptr[r]:ptr[r + 1]]))
-    cum[-1] = 1.0  # guard against roundoff at the top end
-    return cum, col[ptr[r]:ptr[r + 1]], cost[r]
+CHUNK = 4096  # stages stepped between two rounds of numpy bookkeeping
+_SHORT = 16  # segments up to this long are summed one position per pass
 
 
-def _policy_rows(mdp: LabeledMdp, policy: StationaryPolicy) -> list:
-    """Each state's row under policy, ready for _run."""
-    views = mdp.entry_ptr.tolist(), mdp.col.tolist(), mdp.prob.tolist(), mdp.cost.tolist()
-    return [_row(views, r) for r in mdp.rows_of([policy.action(i) for i in mdp.states]).tolist()]
+def _running_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums of `values` that restart from 0.0 at each index in
+    `starts` (ascending, the first 0; the last may equal len(values)).
+    Each segment is added left to right, bit for bit as a Python loop
+    adds it: np.cumsum accumulates in order, where np.sum and
+    np.add.reduceat add pairwise and differ in the last bits.  A long
+    segment is one np.cumsum; the short ones advance together, one
+    position per pass, so a run of one-entry segments takes one pass."""
+    out = values + 0.0
+    ends = np.append(starts[1:], len(values))
+    long = ends - starts > _SHORT
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        out[a:b] = np.cumsum(out[a:b])
+    pos, stop = starts[~long] + 1, ends[~long]
+    live = pos < stop
+    while live.any():
+        pos, stop = pos[live], stop[live]
+        out[pos] += out[pos - 1]
+        pos += 1
+        live = pos < stop
+    return out
 
 
-def _run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
+def _cumulative(entry_ptr: np.ndarray, prob: np.ndarray) -> list[float]:
+    """Each row's cumulative probabilities, its last set to 1.0 to guard
+    against roundoff at the top end."""
+    cum = _running_sums(prob, entry_ptr[:-1])
+    cum[entry_ptr[1:] - 1] = 1.0
+    return cum.tolist()
+
+
+def _policy_rows(mdp: LabeledMdp, policy: StationaryPolicy) -> tuple[list, np.ndarray]:
+    """Each state's (cumulative probabilities, successors) under policy,
+    ready for _run, and the cost of each state's row."""
+    rows = mdp.rows_of([policy.action(i) for i in mdp.states])
+    ptr, col, prob = mdp.chain(rows)
+    cum, col, ptr = _cumulative(ptr, prob), col.tolist(), ptr.tolist()
+    return [(cum[a:b], col[a:b]) for a, b in zip(ptr, ptr[1:])], mdp.cost[rows]
+
+
+def _mask(states, n: int, what: str) -> np.ndarray:
+    """`states` as a mask over the states 0..n-1; ValueError names a
+    state outside them."""
+    mask = np.zeros(n, dtype=bool)
+    for i in states:
+        if not 0 <= i < n:
+            raise ValueError(f"{what} state {i} is not a state of the model (0..{n - 1})")
+        mask[i] = True
+    return mask
+
+
+def _run(rows, cost: np.ndarray, state: int, n_stages: int, seed: int, pi_states,
          collect_cycle_costs: bool = False, amec_states=None):
-    """The stepping loop of every simulator.  `row_of(state)` returns
-    (cum, successors, cost) for the action taken at state.  Returns the
-    report, the visits per state, and the visits before the first entry
-    into amec_states (None if the run never enters it; the entry visit
-    itself counts as after entry)."""
+    """The stepping loop of every simulator.  `rows[state]` is the
+    (cumulative probabilities, successors) of the action taken at state,
+    and cost[state] its cost by the time the lookup returns; len(cost) is
+    the number of states.  Each chunk of stages is stepped bare (draw,
+    pick, record) and then counted with numpy.  Returns the report, the
+    visits per state, and the visits before the first entry into
+    amec_states (None if the run never enters it; the entry visit itself
+    counts as after entry)."""
     if n_stages < 1:
         raise ValueError(f"the stage count must be positive, got {n_stages}")
+    n = len(cost)
     uniform = Random(seed).random
-    pi_set = frozenset(pi_states)
-    until = frozenset(amec_states or ())
-    hits = [0] * n_states
+    arrival = _mask(pi_states, n, "cycle-set")
+    until = None if amec_states is None else _mask(amec_states, n, "component")
+    hits = np.zeros(n, dtype=np.int64)
     hits[state] = 1
     entry_stage = before = None
-    if state in until:
-        entry_stage, before, until = 0, [0] * n_states, frozenset()
+    if until is not None and until[state]:
+        entry_stage, before, until = 0, np.zeros(n, dtype=np.int64), None
     total = 0.0
     cycles = 1
     cycle_cost = 0.0
     per_cycle: list[float] = []
-    for stage in range(n_stages):
-        cum, succ, cost = row_of(state)
-        total += cost
-        cycle_cost += cost
-        state = succ[bisect_left(cum, uniform())]
-        hits[state] += 1
-        if state in pi_set:
-            cycles += 1
-            if collect_cycle_costs:
-                per_cycle.append(cycle_cost)
-            cycle_cost = 0.0
-        if state in until:
-            entry_stage, before, until = stage + 1, hits.copy(), frozenset()
-            before[state] -= 1
-    report = SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed,
+    for done in range(0, n_stages, CHUNK):
+        size = min(CHUNK, n_stages - done)
+        path = [state]
+        step = path.append
+        for _ in repeat(None, size):
+            cum, succ = rows[state]
+            state = succ[bisect_left(cum, uniform())]
+            step(state)
+        visited = np.fromiter(path, np.intp, size + 1)
+        came, went = visited[:-1], visited[1:]
+        paid = cost[came]
+        total = np.cumsum(np.append(total, paid))[-1]  # total += cost, stage by stage
+        ends = np.flatnonzero(arrival[went])
+        cycles += len(ends)
+        if collect_cycle_costs:
+            # the chunk's cycles, the first carrying the open cycle's cost in
+            sums = _running_sums(np.append(cycle_cost, paid), np.append(0, ends + 2))
+            per_cycle.extend(sums[ends + 1].tolist())
+            cycle_cost = 0.0 if len(ends) and ends[-1] == size - 1 else sums[-1]
+        if until is not None and len(entered := np.flatnonzero(until[went])):
+            j = int(entered[0])
+            entry_stage, until = done + j + 1, None
+            before = hits + np.bincount(went[:j], minlength=n)
+        hits += np.bincount(went, minlength=n)
+    report = SimReport(stages=n_stages, total_cost=float(total), cycles=cycles, seed=seed,
                        amec_entry_stage=entry_stage, cycle_costs=tuple(per_cycle))
-    return report, hits, before
+    return report, hits.tolist(), None if before is None else before.tolist()
 
 
 def simulate(mdp: LabeledMdp, policy: StationaryPolicy, n_stages: int, seed: int,
              pi_states, collect_cycle_costs: bool = False) -> SimReport:
     """Run a stationary policy on an MDP for n_stages steps."""
-    return _run(_policy_rows(mdp, policy).__getitem__, mdp.init, mdp.n_states, n_stages,
-                seed, pi_states, collect_cycle_costs)[0]
+    return _run(*_policy_rows(mdp, policy), mdp.init, n_stages, seed, pi_states,
+                collect_cycle_costs)[0]
 
 
 def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: int,
@@ -135,9 +191,8 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     a run here consumes the same random draws as the projected controller
     on the plain MDP under the same seed.
     """
-    report, hits, before = _run(_policy_rows(product.model, policy).__getitem__, product.init,
-                                product.n_states, n_stages, seed, product.pi_states,
-                                collect_cycle_costs, amec_states)
+    report, hits, before = _run(*_policy_rows(product.model, policy), product.init, n_stages,
+                                seed, product.pi_states, collect_cycle_costs, amec_states)
     if before is None:
         before = hits  # never entered: every visit came before entry
     pairs = tuple(
@@ -168,29 +223,38 @@ def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages:
                         seed: int, pi_states) -> SimReport:
     """Run a product-tracking controller on the MDP through the tracked
     product states.  At a state's first visit the controller acts once,
-    and the state's row is its MDP row's sampler with the successors
-    mapped through the controller's `index`; the product's rows are never
-    read.  The draws are simulate_product's, so costs agree exactly."""
+    and the state's row is its MDP row's cumulative probabilities with
+    the successors mapped through the controller's `index`; the product's
+    rows are never read.  The draws are simulate_product's, so costs
+    agree exactly."""
     index, n_q, pairs_of = controller.index, controller.n_q, controller.product.pairs_of
     n = len(pairs_of)
-    pi_set = frozenset(pi_states)
-    views = mdp.entry_ptr.tolist(), mdp.col.tolist(), mdp.prob.tolist(), mdp.cost.tolist()
-    ptr, action = mdp.row_ptr.tolist(), mdp.action.tolist()
-    samplers = _Rows(lambda r: _row(views, r))  # one per MDP row
+    in_pi = _mask(pi_states, mdp.n_states, "cycle-set")
+    cum, first = _cumulative(mdp.entry_ptr, mdp.prob), mdp.entry_ptr.tolist()
+    col, keys = mdp.col.tolist(), (mdp.col * n_q).tolist()  # a key less q: s' * n_q
+    ptr, action, row_cost = mdp.row_ptr.tolist(), mdp.action.tolist(), mdp.cost.tolist()
+    cost = np.zeros(n + 2)
+    get = index.get
 
     def tracked(s, q):
-        i = index.get(s * n_q + q)
+        i = get(s * n_q + q)
         if i is None:
-            i = _Untracked(n + (s in pi_set))
+            i = _Untracked(n + int(in_pi[s]))
             i.s, i.q = s, q
         return i
 
     def build(i):
         s, controller.q = (i.s, i.q) if isinstance(i, _Untracked) else pairs_of[i]
         # UntrackedState if untracked
-        cum, succ, cost = samplers[action.index(controller.act(s), ptr[s], ptr[s + 1])]
-        return cum, tuple(tracked(s2, controller.q) for s2 in succ), cost
+        r = action.index(controller.act(s), ptr[s], ptr[s + 1])
+        a, b, q = first[r], first[r + 1], controller.q
+        succ = [get(k + q) for k in keys[a:b]]
+        if None in succ:
+            succ = [tracked(j, q) for j in col[a:b]]
+        cost[i] = row_cost[r]
+        return cum[a:b], succ
 
-    cycle = {tracked(s, q) for s in pi_set for q in range(n_q)}
+    # the tracked cycle states, and the spare n + 1 that stands for an untracked one
+    cycle = [get(s * n_q + q, n + 1) for s in np.flatnonzero(in_pi).tolist() for q in range(n_q)]
     start = tracked(mdp.init, controller.product.dra.start)
-    return _run(_Rows(build).__getitem__, start, n + 2, n_stages, seed, cycle)[0]
+    return _run(_Rows(build), cost, start, n_stages, seed, cycle)[0]

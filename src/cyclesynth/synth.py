@@ -66,9 +66,8 @@ def amec_cycle_problem(product: ProductMdp, component: amec_mod.Amec,
     model = product.model
     ordered = sorted(component.states)
     states, rows = np.array(ordered, dtype=np.int64), np.array(component.rows, dtype=np.int64)
-    _, col, _ = model.chain(rows)
     sub = model.take(np.append(np.searchsorted(rows, model.row_ptr[states]), len(rows)), rows,
-                     np.searchsorted(states, col), [model.label[g] for g in ordered], model.props)
+                     states.searchsorted, [model.label[g] for g in ordered], model.props)
     local = {g: k for k, g in enumerate(ordered)}
     problem = CycleProblem(mdp=sub, pi_states=frozenset(local[g] for g in component.pi_states))
     k_local = frozenset(local[g] for g in component.k_states)

@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 from bisect import bisect_left
+from functools import cache
 from itertools import accumulate, islice
 from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -152,6 +154,11 @@ class TestSimulate:
         with pytest.raises(ValueError, match="stage count"):
             sim.simulate(toy_a, single_policy(toy_a), stages, seed=0, pi_states={0})
 
+    @pytest.mark.parametrize("state", [5, -1])
+    def test_cycle_set_outside_the_model_rejected(self, toy_a, state):
+        with pytest.raises(ValueError, match=f"cycle-set state {state} is not a state"):
+            sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={0, state})
+
     def test_report_json_shape(self, toy_a):
         report = sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={0})
         data = report.to_json_dict()
@@ -181,20 +188,23 @@ class TestSimulateProduct:
         assert report_p.total_cost == report_e.total_cost
         assert report_p.cycles == report_e.cycles
 
-    def test_executable_builds_each_sampler_once(self, monkeypatch):
+    def test_executable_acts_once_per_visited_state(self):
+        """The controller acts at a product state's first visit only,
+        when its row is built."""
         mdp, _dra, result = self._solved()
-        rows = []
-        row_of = sim._row
+        controller = result.executable()
+        pairs, act = [], controller.act
 
-        def counting(mdp, key):
-            rows.append(key)
-            return row_of(mdp, key)
+        def counting(s):
+            pairs.append((s, controller.q))
+            return act(s)
 
-        monkeypatch.setattr(sim, "_row", counting)
-        sim.simulate_executable(mdp, result.executable(), 5_000, seed=5,
+        controller.act = counting
+        sim.simulate_executable(mdp, controller, 5_000, seed=5,
                                 pi_states=mdp.pi_states("pickup"))
-        assert rows
-        assert len(rows) == len(set(rows))
+        assert pairs
+        assert len(pairs) == len(set(pairs))
+        assert set(pairs) <= set(result.product.pairs_of)
 
     @pytest.mark.parametrize("stages", [0, -5])
     def test_non_positive_stage_count_rejected(self, stages):
@@ -204,6 +214,19 @@ class TestSimulateProduct:
         with pytest.raises(ValueError, match="stage count"):
             sim.simulate_executable(mdp, result.executable(), stages, seed=5,
                                     pi_states=mdp.pi_states("pickup"))
+
+    @pytest.mark.parametrize("past_end", [True, False])
+    def test_states_outside_the_model_rejected(self, past_end):
+        mdp, _dra, result = self._solved()
+        product = result.product
+        outside = product.n_states if past_end else -1
+        with pytest.raises(ValueError, match=f"component state {outside} is not a state"):
+            sim.simulate_product(product, result.stitched_policy, 10, seed=5,
+                                 amec_states={0, outside})
+        outside = mdp.n_states if past_end else -1
+        with pytest.raises(ValueError, match=f"cycle-set state {outside} is not a state"):
+            sim.simulate_executable(mdp, result.executable(), 10, seed=5,
+                                    pi_states={0, outside})
 
     def test_acceptance_evidence(self):
         _mdp, _dra, result = self._solved()
@@ -325,3 +348,147 @@ def test_executable_matches_per_step_controller_and_product(seed, run_seed):
     lifted = sim.simulate_product(product, policy, 300, run_seed)
     assert (executable.total_cost, executable.cycles) == expected
     assert (lifted.total_cost, lifted.cycles) == expected
+
+
+def test_long_run_memory_is_one_chunk():
+    """A run holds one chunk of its path at a time: the traced peak of a
+    10^6-stage product run stays far below the 8 MB a list of the whole
+    path would take (about 0.2 MB measured)."""
+    result = synthesize(pickup_delivery_mdp(), pickup_delivery_dra(), "pickup")
+    product, policy = result.product, result.stitched_policy
+    tracemalloc.start()
+    try:
+        report = sim.simulate_product(product, policy, 10 ** 6, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.stages == 10 ** 6
+    assert peak < 2 ** 20
+
+
+def reference_run(row_of, state: int, n_states: int, n_stages: int, seed: int, pi_states,
+                  collect_cycle_costs: bool = False, amec_states=None):
+    """The stepping loop as one Python loop that counts as it steps, kept
+    as the oracle of sim._run.  `row_of(state)` returns (cum, successors,
+    cost) for the action taken at state.  Returns the report, the visits
+    per state, and the visits before the first entry into amec_states
+    (None if the run never enters it; the entry visit itself counts as
+    after entry)."""
+    if n_stages < 1:
+        raise ValueError(f"the stage count must be positive, got {n_stages}")
+    uniform = Random(seed).random
+    pi_set = frozenset(pi_states)
+    until = frozenset(amec_states or ())
+    hits = [0] * n_states
+    hits[state] = 1
+    entry_stage = before = None
+    if state in until:
+        entry_stage, before, until = 0, [0] * n_states, frozenset()
+    total = 0.0
+    cycles = 1
+    cycle_cost = 0.0
+    per_cycle: list[float] = []
+    for stage in range(n_stages):
+        cum, succ, cost = row_of(state)
+        total += cost
+        cycle_cost += cost
+        state = succ[bisect_left(cum, uniform())]
+        hits[state] += 1
+        if state in pi_set:
+            cycles += 1
+            if collect_cycle_costs:
+                per_cycle.append(cycle_cost)
+            cycle_cost = 0.0
+        if state in until:
+            entry_stage, before, until = stage + 1, hits.copy(), frozenset()
+            before[state] -= 1
+    report = sim.SimReport(stages=n_stages, total_cost=total, cycles=cycles, seed=seed,
+                           amec_entry_stage=entry_stage, cycle_costs=tuple(per_cycle))
+    return report, hits, before
+
+
+CHUNK = sim.CHUNK
+STAGE_COUNTS = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3)
+PROBABILITIES = st.one_of(st.floats(1e-12, 1.0), st.sampled_from([1e-12, 1e-9, 0.5, 1.0]))
+COSTS = st.one_of(st.floats(1e-3, 1e7), st.sampled_from([0.0, 1e-3, 0.1, 1.0, 1e7]))
+
+
+@st.composite
+def chains_with_entry(draw):
+    """A random chain of 1-30 states, 1-4 successors each, behind a
+    deterministic line of `lead` states, so that the first entry into
+    the component {lead} falls at stage `lead`: at stage 0, mid-chunk, at
+    the last stage of the first chunk or the first of the second.  The
+    component is None or empty when the run never enters one; the cycle
+    set is a random one or every state, so that a chunk can end on an
+    arrival.  Returns the rows as (cum, successors, cost), the cycle set
+    and the component."""
+    where = draw(st.sampled_from(["start", "mid", "chunk end", "chunk start", "none", "never"]))
+    lead = {"start": 0, "mid": draw(st.integers(1, CHUNK - 2)), "chunk end": CHUNK,
+            "chunk start": CHUNK + 1}.get(where, draw(st.integers(0, 3)))
+    rows = [([1.0], [i + 1], draw(COSTS)) for i in range(lead)]
+    m = draw(st.integers(1, 30))
+    for _ in range(m):
+        k = draw(st.integers(1, 4))
+        succ = draw(st.lists(st.integers(lead, lead + m - 1), min_size=k, max_size=k))
+        weights = draw(st.lists(PROBABILITIES, min_size=k, max_size=k))
+        cum = list(accumulate(w / sum(weights) for w in weights))
+        cum[-1] = 1.0
+        rows.append((cum, succ, draw(COSTS)))
+    pi = draw(st.one_of(st.sets(st.integers(0, lead + m - 1)), st.just(range(lead + m))))
+    component = {"none": None, "never": set()}.get(where, {lead})
+    return rows, pi, component
+
+
+@settings(max_examples=80, deadline=None)
+@given(chains_with_entry(), st.sampled_from(STAGE_COUNTS), st.integers(0, 2 ** 31 - 1),
+       st.booleans())
+@example(([([1.0], [1], 1.5), ([0.5, 1.0], [0, 1], 0.25)], {0, 1}, None), CHUNK + 1, 3, True)
+def test_run_matches_the_per_stage_loop(chain, n_stages, seed, collect):
+    """sim._run, stepping a chunk bare and counting it with numpy, gives
+    the per-stage loop's report, visits and visits before entry, bit for
+    bit, at stage counts around the chunk size.  The explicit example
+    ends the first chunk on an arrival, so the next chunk's first cycle
+    must start from 0.0."""
+    rows, pi, component = chain
+    samplers = [(cum, succ) for cum, succ, _cost in rows]
+    cost = np.array([c for _cum, _succ, c in rows])
+    got = sim._run(samplers, cost, 0, n_stages, seed, pi, collect, component)
+    assert got == reference_run(rows.__getitem__, 0, len(rows), n_stages, seed, pi, collect,
+                                component)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1e-12, 1e-4, 1e-3, 0.05]), st.sampled_from(STAGE_COUNTS),
+       st.integers(0, 2 ** 31 - 1))
+def test_executable_raises_where_the_per_step_controller_does(leak, n_stages, seed):
+    """With an edge out of the tracked product taken with probability
+    `leak`, simulate_executable raises UntrackedState at the stage at
+    which the per-step controller loop cannot act, and otherwise gives
+    its cost and cycle count."""
+    mdp, controller = leaky_pickup_delivery(leak)
+    pi = mdp.pi_states("pickup")
+    done = []
+    try:
+        done.extend(islice(controller_steps(mdp, controller, seed, pi), n_stages))
+    except UntrackedState:
+        pass
+    if len(done) == n_stages:
+        report = sim.simulate_executable(mdp, controller, n_stages, seed, pi_states=pi)
+        assert (report.total_cost, report.cycles) == done[-1]
+        return
+    if done:
+        report = sim.simulate_executable(mdp, controller, len(done), seed, pi_states=pi)
+        assert (report.total_cost, report.cycles) == done[-1]
+    with pytest.raises(UntrackedState):
+        sim.simulate_executable(mdp, controller, len(done) + 1, seed, pi_states=pi)
+
+
+@cache
+def leaky_pickup_delivery(leak):
+    """The pickup-delivery MDP with an edge from cell 5 to cell 1 (see
+    test_untracked_pair_raises_when_reached), and its controller."""
+    mdp = pickup_delivery_mdp()
+    result = synthesize(mdp, pickup_delivery_dra(), "pickup")
+    leaky = with_row(mdp, 5, mdp.actions.index("alpha"), (1, 5, 6), (leak, 0.1, 0.9 - leak))
+    return leaky, result.executable()
