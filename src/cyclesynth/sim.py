@@ -110,13 +110,14 @@ def _policy_rows(mdp: LabeledMdp, policy: StationaryPolicy) -> tuple[list, np.nd
 
 
 def _mask(states, n: int, what: str) -> np.ndarray:
-    """`states` as a mask over the states 0..n-1; ValueError names a
-    state outside them."""
+    """`states` as a mask over the states 0..n-1, each read as an int (a
+    numpy bool index would mark them all); ValueError names a state that
+    is not an integer or lies outside them."""
     mask = np.zeros(n, dtype=bool)
     for i in states:
-        if not 0 <= i < n:
-            raise ValueError(f"{what} state {i} is not a state of the model (0..{n - 1})")
-        mask[i] = True
+        if not (isinstance(i, (int, np.integer)) and 0 <= i < n):
+            raise ValueError(f"{what} state {i!r} is not a state of the model (0..{n - 1})")
+        mask[int(i)] = True
     return mask
 
 

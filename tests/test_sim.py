@@ -154,10 +154,19 @@ class TestSimulate:
         with pytest.raises(ValueError, match="stage count"):
             sim.simulate(toy_a, single_policy(toy_a), stages, seed=0, pi_states={0})
 
-    @pytest.mark.parametrize("state", [5, -1])
+    @pytest.mark.parametrize("state", [5, -1, 1.5])
     def test_cycle_set_outside_the_model_rejected(self, toy_a, state):
         with pytest.raises(ValueError, match=f"cycle-set state {state} is not a state"):
             sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={0, state})
+
+    def test_cycle_set_of_numpy_and_bool_states(self, toy_a):
+        """Integer-valued states of any integer type name the same state:
+        True is state 1, as it is in a set of ints."""
+        plain = sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={1})
+        assert sim.simulate(toy_a, single_policy(toy_a), 10, seed=0,
+                            pi_states={True}) == plain
+        assert sim.simulate(toy_a, single_policy(toy_a), 10, seed=0,
+                            pi_states=np.array([1])) == plain
 
     def test_report_json_shape(self, toy_a):
         report = sim.simulate(toy_a, single_policy(toy_a), 10, seed=0, pi_states={0})
@@ -426,7 +435,8 @@ def chains_with_entry(draw):
     where = draw(st.sampled_from(["start", "mid", "chunk end", "chunk start", "none", "never"]))
     lead = {"start": 0, "mid": draw(st.integers(1, CHUNK - 2)), "chunk end": CHUNK,
             "chunk start": CHUNK + 1}.get(where, draw(st.integers(0, 3)))
-    rows = [([1.0], [i + 1], draw(COSTS)) for i in range(lead)]
+    line_costs = draw(st.lists(COSTS, min_size=1, max_size=8))
+    rows = [([1.0], [i + 1], line_costs[i % len(line_costs)]) for i in range(lead)]
     m = draw(st.integers(1, 30))
     for _ in range(m):
         k = draw(st.integers(1, 4))
