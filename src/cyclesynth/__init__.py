@@ -9,6 +9,7 @@ from .acpc import (
     PolicyIterationStatus,
     acpc_evaluate,
     acpc_optimality_check,
+    block_policy_iteration,
     brute_force_acpc,
     cycle_cost,
     first_return_kernel,
@@ -37,7 +38,8 @@ __all__ = [
     "PolicyIterationStatus", "ProductMdp", "RabinPair", "SimReport",
     "StationaryPolicy", "SynthesisResult", "ValidationReport",
     "accepting_amecs", "acpc_evaluate",
-    "acpc_optimality_check", "almost_sure_reach_set", "brute_force_acpc",
+    "acpc_optimality_check", "almost_sure_reach_set", "block_policy_iteration",
+    "brute_force_acpc",
     "build_product", "cycle_cost", "first_return_kernel",
     "is_communicating", "is_proper", "maximal_end_components",
     "policy_iteration", "project_policy", "reach_policy", "simulate",

@@ -319,11 +319,16 @@ def _chain_classes(mdp: LabeledMdp, choice) -> list[list[int]]:
 
 def is_communicating(mdp: LabeledMdp) -> bool:
     """True iff the union digraph over all available actions is strongly
-    connected (every pair connected under some policy).  A state's
-    entries are contiguous."""
+    connected (every pair connected under some policy)."""
+    return len(_strong_components(mdp)) <= 1
+
+
+def _strong_components(mdp: LabeledMdp) -> list[list[int]]:
+    """Strongly connected components of the union digraph over all
+    available actions.  A state's entries are contiguous."""
     col, ptr = mdp.col.tolist(), mdp.entry_ptr[mdp.row_ptr].tolist()
     succ = [sorted(set(col[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
-    return len(numerics._tarjan_scc(mdp.n_states, succ)) <= 1
+    return numerics._tarjan_scc(mdp.n_states, succ)
 
 
 # ---------------------------------------------------------------------------

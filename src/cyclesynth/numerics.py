@@ -182,9 +182,13 @@ def cesaro_limit(P) -> np.ndarray:
     class_dist = []
     for cls in classes:
         idx = np.array(cls)
-        pi = stationary_distribution(P[np.ix_(idx, idx)])
+        if len(cls) == 1:  # what stationary_distribution gives, without the solve
+            pi = np.ones(1)
+            star[cls[0], cls[0]] = 1.0
+        else:
+            pi = stationary_distribution(P[np.ix_(idx, idx)])
+            star[np.ix_(idx, idx)] = np.tile(pi, (len(idx), 1))
         class_dist.append((idx, pi))
-        star[np.ix_(idx, idx)] = np.tile(pi, (len(idx), 1))
     if transient:
         t = np.array(transient)
         Q = P[np.ix_(t, t)]

@@ -204,58 +204,60 @@ def simulate_product(product: ProductMdp, policy: StationaryPolicy, n_stages: in
     return replace(report, pair_counters=pairs)
 
 
-class _Rows(dict):
-    """Values built by `build` on first lookup; a hit is the dict's own lookup."""
+class _Untracked:
+    """The row of a spare state that stands for a pair (s, q) the
+    controller does not track: unpacking it makes the controller act
+    there, so a run raises UntrackedState on the stage that would leave
+    the pair."""
 
-    def __init__(self, build):
-        self.build = build
+    def __init__(self, controller: ExecutablePolicy, s: int, q: int):
+        self.controller, self.s, self.q = controller, s, q
 
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
-class _Untracked(int):
-    """A spare state past the product's for a pair (s, q) the controller
-    does not track (the second, n + 1, if s is a cycle state); its row raises."""
+    def __iter__(self):
+        self.controller.q = self.q
+        return self.controller.act(self.s)  # raises: (s, q) is not tracked
 
 
 def simulate_executable(mdp: LabeledMdp, controller: ExecutablePolicy, n_stages: int,
                         seed: int, pi_states) -> SimReport:
     """Run a product-tracking controller on the MDP through the tracked
-    product states.  At a state's first visit the controller acts once,
-    and the state's row is its MDP row's cumulative probabilities with
-    the successors mapped through the controller's `index`; the product's
-    rows are never read.  The draws are simulate_product's, so costs
-    agree exactly."""
-    index, n_q, pairs_of = controller.index, controller.n_q, controller.product.pairs_of
-    n = len(pairs_of)
+    product states.  The rows are built once per run, before it starts,
+    for the pairs (MDP state, automaton state) the controller reaches from
+    the start, breadth first: the controller acts once at each tracked
+    pair, whose row is the chosen MDP row's cumulative probabilities with
+    the successor pairs numbered in order of discovery, and each untracked
+    pair gets a spare state with an _Untracked row.  The product's rows
+    are never read.  The draws are simulate_product's, so costs agree
+    exactly."""
+    if n_stages < 1:
+        raise ValueError(f"the stage count must be positive, got {n_stages}")
+    index, n_q = controller.index, controller.n_q
     in_pi = _mask(pi_states, mdp.n_states, "cycle-set")
-    cum, first = _cumulative(mdp.entry_ptr, mdp.prob), mdp.entry_ptr.tolist()
-    col, keys = mdp.col.tolist(), (mdp.col * n_q).tolist()  # a key less q: s' * n_q
-    ptr, action, row_cost = mdp.row_ptr.tolist(), mdp.action.tolist(), mdp.cost.tolist()
-    cost = np.zeros(n + 2)
-    get = index.get
-
-    def tracked(s, q):
-        i = get(s * n_q + q)
-        if i is None:
-            i = _Untracked(n + int(in_pi[s]))
-            i.s, i.q = s, q
-        return i
-
-    def build(i):
-        s, controller.q = (i.s, i.q) if isinstance(i, _Untracked) else pairs_of[i]
-        # UntrackedState if untracked
+    ptr, action, first, col = (mdp.row_ptr.tolist(), mdp.action.tolist(),
+                               mdp.entry_ptr.tolist(), mdp.col.tolist())
+    pairs = [(mdp.init, controller.product.dra.start)]
+    found = {mdp.init * n_q + pairs[0][1]: 0}  # s * n_q + q -> its place in pairs
+    rows, tracked, chosen = [], [], []
+    for s, q in pairs:  # breadth first: pairs is the queue, appended to as it goes
+        if s * n_q + q not in index:
+            rows.append(_Untracked(controller, s, q))
+            continue
+        controller.q = q
         r = action.index(controller.act(s), ptr[s], ptr[s + 1])
-        a, b, q = first[r], first[r + 1], controller.q
-        succ = [get(k + q) for k in keys[a:b]]
-        if None in succ:
-            succ = [tracked(j, q) for j in col[a:b]]
-        cost[i] = row_cost[r]
-        return cum[a:b], succ
-
-    # the tracked cycle states, and the spare n + 1 that stands for an untracked one
-    cycle = [get(s * n_q + q, n + 1) for s in np.flatnonzero(in_pi).tolist() for q in range(n_q)]
-    start = tracked(mdp.init, controller.product.dra.start)
-    return _run(_Rows(build), cost, start, n_stages, seed, cycle)[0]
+        q, succ = controller.q, []
+        for j in col[first[r]:first[r + 1]]:
+            k = found.setdefault(j * n_q + q, len(pairs))
+            if k == len(pairs):
+                pairs.append((j, q))
+            succ.append(k)
+        tracked.append(len(rows))
+        chosen.append(r)
+        rows.append(succ)
+    entry_ptr, _col, prob = mdp.chain(np.array(chosen, dtype=np.int64))
+    cum, at = _cumulative(entry_ptr, prob), entry_ptr.tolist()
+    for i, a, b in zip(tracked, at, at[1:]):
+        rows[i] = cum[a:b], rows[i]
+    cost = np.zeros(len(pairs))
+    cost[tracked] = mdp.cost[chosen]
+    cycle = [i for i, (s, _q) in enumerate(pairs) if in_pi[s]]
+    return _run(rows, cost, 0, n_stages, seed, cycle)[0]

@@ -8,11 +8,17 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cyclesynth.acpc import CycleProblem
 from cyclesynth.dra import Dra, RabinPair
 from cyclesynth.mdp import LabeledMdp, StationaryPolicy, from_rows
 
+
+# every failing Hypothesis example prints the @reproduce_failure line that
+# replays it, so a failure seen once can be run again
+settings.register_profile("cyclesynth", print_blob=True)
+settings.load_profile("cyclesynth")
 
 # pass/fail lines recorded by the acceptance gate, echoed after the run
 acceptance_verdicts: list[str] = []

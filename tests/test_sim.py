@@ -198,8 +198,8 @@ class TestSimulateProduct:
         assert report_p.cycles == report_e.cycles
 
     def test_executable_acts_once_per_visited_state(self):
-        """The controller acts at a product state's first visit only,
-        when its row is built."""
+        """The controller acts once per reachable state, when the
+        run's rows are built."""
         mdp, _dra, result = self._solved()
         controller = result.executable()
         pairs, act = [], controller.act

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import subprocess
 import sys
 import tracemalloc
@@ -23,7 +24,8 @@ from conftest import (
     rooms_mdp,
     two_amec_mdp,
 )
-from cyclesynth import acpc, sim
+from cyclesynth import acpc, sim, synth
+from cyclesynth import dra as dra_mod
 from cyclesynth import mdp as mdp_mod
 from cyclesynth.acpc import PolicyIterationStatus
 from cyclesynth.dra import Dra, RabinPair
@@ -137,16 +139,18 @@ class TestSynthesize:
         assert a_carry4 != "beta"
 
     def test_jobs_agree(self):
+        """jobs has no effect: one loop solves every component."""
         seq = synthesize(two_amec_mdp(), always_accepting_dra(), "pi")
         par = synthesize(two_amec_mdp(), always_accepting_dra(), "pi", jobs=4)
         assert seq.optimal_cost == par.optimal_cost
         assert seq.stitched_policy.choice == par.stitched_policy.choice
 
     def test_threads_build_the_predecessor_list_whole(self):
-        """Worker threads solve the component interiors while switching
-        every few bytecodes; the product's predecessor list, whose build
-        takes milliseconds behind a long corridor, is first used by the
-        reach check after them.  The answer must be the sequential one."""
+        """The product's predecessor list, whose build takes milliseconds
+        behind a long corridor, is first used by the reach check after the
+        component interiors are solved.  Worker threads once raced on that
+        first build; jobs=8 with a thread switch every few bytecodes must
+        give the answer of a plain run, as jobs has no effect."""
         corridor, rooms = 5000, rooms_mdp(8)
         rows = {(k, "go"): [(k + 1, 1.0)] for k in range(corridor)}
         for (i, a), (row, _prob, _cost) in keyed_rows(rooms).items():
@@ -212,23 +216,24 @@ class TestSynthesize:
         assert d["skipped"] == []
 
     def test_interiors_solved_before_one_reach_check(self, monkeypatch):
-        """Every component's policy iteration runs before the first reach
-        policy; on rooms 5, where the cheapest room is reached almost
-        surely, the almost-sure set is computed once."""
+        """One policy-iteration loop solves every component's interior
+        before the first reach policy; on rooms 5, where the cheapest room
+        is reached almost surely, the almost-sure set is computed once."""
         events = []
-        for module, name in ((acpc, "policy_iteration"), (amec_mod, "reach_policy"),
+        for module, name in ((acpc, "block_policy_iteration"), (amec_mod, "reach_policy"),
                              (amec_mod, "almost_sure_reach_set")):
             monkeypatch.setattr(module, name, recording(events, name, getattr(module, name)))
         result = synthesize(rooms_mdp(5), always_accepting_dra(), "pi")
         assert result.winning_amec_index == 4 and len(result.lambda_per_amec) == 5
         assert [name for name, _args in events] == (
-            ["policy_iteration"] * 5 + ["reach_policy", "almost_sure_reach_set"])
+            ["block_policy_iteration", "reach_policy", "almost_sure_reach_set"])
+        assert len(events[0][1][0].starts) == 5
 
     def test_only_the_best_reach_policy_kept(self, monkeypatch):
         """One reach policy is built on rooms 5, for the winning room, and
         none exists while the component interiors are solved."""
         made, alive = [], []
-        reach_policy, policy_iteration = amec_mod.reach_policy, acpc.policy_iteration
+        reach_policy, policy_iteration = amec_mod.reach_policy, acpc.block_policy_iteration
 
         def tracked_reach(product, component):
             policy = reach_policy(product, component)
@@ -241,10 +246,10 @@ class TestSynthesize:
             return policy_iteration(*args, **kwargs)
 
         monkeypatch.setattr(amec_mod, "reach_policy", tracked_reach)
-        monkeypatch.setattr(acpc, "policy_iteration", counting_iteration)
+        monkeypatch.setattr(acpc, "block_policy_iteration", counting_iteration)
         result = synthesize(rooms_mdp(5), always_accepting_dra(), "pi")
         assert result.winning_amec_index == 4 and len(result.lambda_per_amec) == 5
-        assert alive == [0] * 5
+        assert alive == [0]
         assert [states for states, _ref in made] == [result.winning_states()]
 
     def test_cheapest_reached_by_a_coin_flip_loses(self, monkeypatch):
@@ -407,6 +412,96 @@ class TestAgainstPerComponentSelection:
         assert repr(result.optimal_cost) == repr(lam)
         assert result.winning_amec_index == winner
         assert result.stitched_policy.choice == choice
+
+
+def parted_mdp(parts):
+    """An entry state 0 whose one action moves with equal chances to the
+    first state of each part, then the parts side by side: for each
+    (seed, scale), k_labelled_mdp(seed) with its costs times scale.
+    Under k_tracking_dra each part gives components of its own."""
+    rows, costs, labels = {(0, "u0"): []}, {(0, "u0"): 1.0}, {}
+    base = 1
+    for seed, scale in parts:
+        part = k_labelled_mdp(seed)
+        for (i, a), (succ, prob, cost) in keyed_rows(part).items():
+            rows[(base + i, part.actions[a])] = [(base + j, p) for j, p in zip(succ, prob)]
+            costs[(base + i, part.actions[a])] = cost * scale
+        labels.update((base + i, sorted(label)) for i, label in enumerate(part.label))
+        rows[(0, "u0")].append((base, 1.0 / len(parts)))
+        base += part.n_states
+    return make_mdp(base, ["u0", "u1", "u2"], rows, costs, labels=labels)
+
+
+def each_block_as_alone(mdp, dra, pi):
+    """Check that the one policy-iteration loop over every component with
+    cycle states gives each component what policy_iteration gives it
+    alone (status, iterations and interior policy equal, lambda within
+    1e-12 relative), and so does every AmecSolution of synthesize.
+    Returns the results alone, by component index."""
+    product = build_product(mdp, dra, pi)
+    solvable = [(idx, c) for idx, c in enumerate(amec_mod.accepting_amecs(product))
+                if c.pi_states]
+    alone = {}
+    for idx, component in solvable:
+        problem, k_local, _local, _ordered = amec_cycle_problem(product, component)
+        alone[idx] = acpc.policy_iteration(problem, k_local)
+    problem, k_local, _ordered = synth.union_cycle_problem(product, [c for _idx, c in solvable])
+    union = acpc.block_policy_iteration(problem, k_local)
+    assert len(union) == len(solvable)
+    for (idx, _c), got in zip(solvable, union):
+        want = alone[idx]
+        assert (got.status, got.iterations, got.policy) == (want.status, want.iterations,
+                                                            want.policy)
+        assert got.gain_bias.lam == pytest.approx(want.gain_bias.lam, rel=1e-12, abs=0.0)
+    try:
+        result = synthesize(mdp, dra, pi)
+    except NoReachableAmec:
+        return alone
+    for solution in result.lambda_per_amec:
+        want = alone[solution.amec_index]
+        assert (solution.status, solution.iterations, solution.interior_policy) == (
+            want.status, want.iterations, want.policy)
+        assert solution.lam == pytest.approx(want.gain_bias.lam, rel=1e-12, abs=0.0)
+    return alone
+
+
+class TestUnionAgainstAlone:
+    """synthesize solves every component in one loop over their disjoint
+    union; each must come out as policy_iteration makes it alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 399), min_size=2, max_size=6))
+    def test_products_of_several_parts(self, seeds):
+        alone = each_block_as_alone(parted_mdp([(seed, 1.0) for seed in seeds]),
+                                    k_tracking_dra(), "pi")
+        assert len(alone) >= 2
+
+    def test_a_component_not_optimal_changes_no_other(self):
+        """Part 14 ends notOptimal (its constrained selection fails); the
+        components around it still get their own answers."""
+        alone = each_block_as_alone(parted_mdp([(3, 1.0), (14, 1.0), (21, 1.0), (7, 1.0)]),
+                                    k_tracking_dra(), "pi")
+        statuses = [result.status for result in alone.values()]
+        assert PolicyIterationStatus.NOT_OPTIMAL in statuses
+        assert PolicyIterationStatus.OPTIMAL in statuses
+
+    def test_cheap_next_to_dear(self):
+        """A part with gains near 1 next to the same part with costs a
+        million times larger: each block's tolerances scale with its own
+        gain, not the dearer block's."""
+        alone = each_block_as_alone(parted_mdp([(5, 0.5), (5, 5e5)]), k_tracking_dra(), "pi")
+        gains = sorted(result.gain_bias.lam for result in alone.values())
+        assert gains[0] < 10.0 and gains[-1] > 1e5
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bench_rooms(self, seed, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+        from cyclebench import workloads
+
+        text = workloads.rooms(20, seed)
+        alone = each_block_as_alone(mdp_mod.from_json_dict(json.loads(text.mdp_json)),
+                                    dra_mod.parse_json(text.dra_json), text.pi)
+        assert len(alone) == 20
 
 
 class TestSuccessorTable:
