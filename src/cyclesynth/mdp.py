@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .errors import EmptyTarget, InvariantViolation, ParseError, PolicyIncomplet
 ROW_SUM_TOL = 1e-9
 
 _MDP_KEYS = {"states", "actions", "available", "trans", "cost", "init"}
+# the label of every unlabeled state: CPython 3.11 makes a new object at
+# each frozenset() call
+EMPTY_LABEL: frozenset[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -325,10 +328,10 @@ def is_communicating(mdp: LabeledMdp) -> bool:
 
 def _strong_components(mdp: LabeledMdp) -> list[list[int]]:
     """Strongly connected components of the union digraph over all
-    available actions.  A state's entries are contiguous."""
+    available actions.  A state's entries are contiguous; a successor
+    two of its rows share is read twice, which Tarjan's search allows."""
     col, ptr = mdp.col.tolist(), mdp.entry_ptr[mdp.row_ptr].tolist()
-    succ = [sorted(set(col[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
-    return numerics._tarjan_scc(mdp.n_states, succ)
+    return numerics._tarjan_scc(mdp.n_states, [col[lo:hi] for lo, hi in zip(ptr, ptr[1:])])
 
 
 # ---------------------------------------------------------------------------
@@ -336,75 +339,229 @@ def _strong_components(mdp: LabeledMdp) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def from_json_dict(data: dict) -> LabeledMdp:
+    """The model of an MDP JSON document.  Each container is read in one
+    pass into flat lists and checked as whole lists; numpy sums the rows
+    and places them in row order.  Where a bulk check fails, the
+    container is read again item by item with the scalar checks, so the
+    error raised, and the key it names, are those of the first fault in
+    the order states, actions, available, trans, cost, init, and within
+    a container in document order."""
     unknown = set(_of_kind(data, dict, None)) - _MDP_KEYS
     if unknown:
         raise ParseError(f"unknown keys {sorted(unknown)}")
     missing = _MDP_KEYS - set(data)
     if missing:
         raise ParseError(f"missing keys {sorted(missing)}")
-    try:
-        state_entries = data["states"]
-        ids = [json_index(s["id"], "state id") for s in state_entries]
-    except (TypeError, KeyError) as exc:
-        raise ParseError(f"malformed states entry: {exc}") from exc
-    if sorted(ids) != list(range(len(ids))):
-        raise ParseError("state ids must be 0..n-1")
-    n = len(ids)
-    labels = [frozenset()] * n
-    for i, s in zip(ids, state_entries):
-        extra = set(s) - {"id", "label"}
-        if extra:
-            raise ParseError(f"unknown keys {sorted(extra)} in state {i}")
-        labels[i] = frozenset(_names(s.get("label", []), "proposition", "label"))
+    labels = _labels(data["states"])
+    n = len(labels)
     actions = tuple(_names(data["actions"], "action name", "actions"))
     act_idx = {a: k for k, a in enumerate(actions)}
     if len(act_idx) != len(actions):
         raise ParseError("repeated action name", key="actions")
-    listed: dict[int, tuple[int, ...]] = {}
-    for key, acts in _of_kind(data["available"], dict, "available").items():
-        i = _parse_state_key(key, n)
-        try:
-            listed[i] = tuple(act_idx[a] for a in _names(acts, "action", key))
-        except KeyError as exc:
-            raise ParseError(f"unknown action {exc} at state {i}", key=key) from exc
-        if len(set(listed[i])) != len(listed[i]):
-            raise ParseError(f"repeated action at state {i}", key=key)
-    _check_unaliased(data["available"], listed, lambda k: _parse_state_key(k, n))
-    rows = []
-    for key, entries in _of_kind(data["trans"], dict, "trans").items():
-        row: dict[int, float] = {}
-        for entry in _of_kind(entries, list, key):
-            try:
-                j, p = entry
-            except (TypeError, ValueError):
-                raise ParseError("transition entries must be [state, prob] pairs",
-                                 key=key) from None
-            j = json_index(j, "successor", key=key)
-            p = _json_number(p, "probability", key)
-            if not 0 <= j < n:
-                raise ParseError(f"successor {j} out of range", key=key)
-            row[j] = row.get(j, 0.0) + p
-        support = sorted(j for j, p in row.items() if p != 0.0)
-        s = 0.0
-        for j in support:  # left to right: builtin sum() rounds differently from 3.12 on
-            s += row[j]
-        if abs(s - 1.0) > ROW_SUM_TOL:
-            raise ParseError(f"row sum {s:.10g} != 1", key=key)
-        # renormalized once, unless the sum is 1 up to the rounding of
-        # the sum itself, so that a saved model loads back unchanged
-        scale = s if abs(s - 1.0) > len(support) * sys.float_info.epsilon else 1.0
-        rows.append((_parse_pair_key(key, n, act_idx), [(j, row[j] / scale) for j in support]))
-    _check_unaliased(data["trans"], {pair for pair, _row in rows},
-                     lambda k: _parse_pair_key(k, n, act_idx))
-    costs = [(_parse_pair_key(key, n, act_idx), _json_number(c, "cost", key))
-             for key, c in _of_kind(data["cost"], dict, "cost").items()]
-    _check_unaliased(data["cost"], {pair for pair, _c in costs},
-                     lambda k: _parse_pair_key(k, n, act_idx))
+    listed = _of_kind(data["available"], dict, "available")
+    states, counts, acts = (_available(listed, n, act_idx)
+                            or _scan_available(listed, n, act_idx))
+    _check_unaliased(listed, set(states), lambda k: _parse_state_key(k, n))
+    per_state = np.zeros(n, dtype=np.int64)
+    per_state[states] = counts
+    action = np.array(acts, dtype=np.int64)[np.argsort(np.repeat(states, counts), kind="stable")]
+    table = np.repeat(np.arange(n), per_state) * len(actions) + action  # each row's pair code
+
+    trans = _of_kind(data["trans"], dict, "trans")
+    keys = list(trans)
+    codes, *entries = _trans(trans, keys, n, act_idx) or _scan_trans(trans, n, act_idx)
+    row, col, prob = _summed(keys, *entries, n)
+    _check_unaliased(trans, set(codes.tolist()), lambda k: _parse_pair_key(k, n, act_idx))
+    cost = _of_kind(data["cost"], dict, "cost")
+    cost_codes = codes if list(cost) == keys else _pair_codes(list(cost), n, act_idx)
+    value = _numbers(list(cost.values()))
+    if cost_codes is None or value is None:
+        cost_codes, value = _scan_cost(cost, n, act_idx)
+    _check_unaliased(cost, set(cost_codes.tolist()), lambda k: _parse_pair_key(k, n, act_idx))
     init = json_index(data["init"], "init")
-    mdp = from_rows(actions, [listed.get(i, ()) for i in range(n)], rows, costs, init, labels)
+
+    rows, bad = _place(codes, table, "transition row", actions)
+    cost_rows, also = _place(cost_codes, table, "cost", actions)
+    if bad or also:
+        raise InvariantViolation("; ".join(bad + also))
+    row = rows[row]  # from key order to row order
+    order = np.argsort(row, kind="stable")
+    row_cost = np.empty(len(table))
+    row_cost[cost_rows] = value
+    mdp = LabeledMdp(
+        n_states=n, actions=actions,
+        row_ptr=np.concatenate(([0], np.cumsum(per_state))), action=action, cost=row_cost,
+        entry_ptr=np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(table))))),
+        col=col[order], prob=prob[order], init=init,
+        props=frozenset().union(*labels), label=labels)
     if mdp.violations:
         raise InvariantViolation("; ".join(mdp.violations))
     return mdp
+
+
+def _labels(entries) -> tuple[frozenset[str], ...]:
+    """Each state's label, by state id: ParseError unless every states
+    entry is an object with an integral "id" and at most a "label", an
+    array of strings, besides, and the ids are 0..n-1."""
+    try:
+        ids = [s["id"] for s in entries]
+    except (TypeError, KeyError):
+        ids = None
+    if ids is None or not set(map(type, ids)) <= {int}:
+        try:
+            ids = [json_index(s["id"], "state id") for s in entries]
+        except (TypeError, KeyError) as exc:
+            raise ParseError(f"malformed states entry: {exc}") from exc
+    if sorted(ids) != list(range(len(ids))):
+        raise ParseError("state ids must be 0..n-1")
+    names = [s.get("label", []) for s in entries]
+    if not (set(chain.from_iterable(entries)) <= {"id", "label"} and set(map(type, names)) <= {list}
+            and set(map(type, chain.from_iterable(names))) <= {str}):
+        for i, s in zip(ids, entries):
+            extra = set(s) - {"id", "label"}
+            if extra:
+                raise ParseError(f"unknown keys {sorted(extra)} in state {i}")
+            _names(s.get("label", []), "proposition", "label")
+    labels = [EMPTY_LABEL] * len(ids)
+    for i, label in zip(ids, names):
+        if label:
+            labels[i] = frozenset(label)
+    return tuple(labels)
+
+
+def _available(listed: dict, n: int, act_idx: dict):
+    """(state of each key, its action count, the actions of every key in
+    order) of the available object, or None where a bulk check fails."""
+    states, lists = _state_keys(list(listed), n), list(listed.values())
+    if states is None or not set(map(type, lists)) <= {list}:
+        return None
+    names = list(chain.from_iterable(lists))
+    acts = list(map(act_idx.get, names)) if set(map(type, names)) <= {str} else [None]
+    counts = list(map(len, lists))
+    if None in acts or _repeats(np.repeat(states, counts), np.array(acts), n).any():
+        return None
+    return states, counts, acts
+
+
+def _scan_available(listed: dict, n: int, act_idx: dict):
+    """_available, read key by key: ParseError at the first fault."""
+    states, counts, acts = [], [], []
+    for key, names in listed.items():
+        i = _parse_state_key(key, n)
+        try:
+            row = [act_idx[a] for a in _names(names, "action", key)]
+        except KeyError as exc:
+            raise ParseError(f"unknown action {exc} at state {i}", key=key) from exc
+        if len(set(row)) != len(row):
+            raise ParseError(f"repeated action at state {i}", key=key)
+        states.append(i)
+        counts.append(len(row))
+        acts += row
+    return states, counts, acts
+
+
+def _trans(trans: dict, keys: list, n: int, act_idx: dict):
+    """(pair code of each key, its entry count, successors, probabilities)
+    of the trans object, or None where a bulk check fails."""
+    codes, lists = _pair_codes(keys, n, act_idx), list(trans.values())
+    if codes is None or not set(map(type, lists)) <= {list}:
+        return None
+    entries = list(chain.from_iterable(lists))
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}):
+        return None
+    flat = list(chain.from_iterable(entries))
+    col, prob = flat[0::2], _numbers(flat[1::2])
+    if prob is None or not set(map(type, col)) <= {int} or (
+            col and not 0 <= min(col) <= max(col) < n):
+        return None
+    return codes, list(map(len, lists)), np.array(col, dtype=np.int64), prob
+
+
+def _scan_trans(trans: dict, n: int, act_idx: dict):
+    """_trans, read key by key: ParseError at the first fault, where the
+    sum of a row is checked after its entries and before its key."""
+    codes, counts, col, prob = [], [], [], []
+    try:
+        for key, entries in trans.items():
+            for entry in _of_kind(entries, list, key):
+                try:
+                    j, p = entry
+                except (TypeError, ValueError):
+                    raise ParseError("transition entries must be [state, prob] pairs",
+                                     key=key) from None
+                j = json_index(j, "successor", key=key)
+                p = _json_number(p, "probability", key)
+                if not 0 <= j < n:
+                    raise ParseError(f"successor {j} out of range", key=key)
+                col.append(j)
+                prob.append(p)
+            counts.append(len(entries))
+            i, a = _parse_pair_key(key, n, act_idx)
+            codes.append(i * len(act_idx) + a)
+    except ParseError:
+        end = sum(counts)  # a row sum off 1 before the fault is raised first
+        _summed(list(trans), counts, np.array(col[:end], dtype=np.int64), np.array(prob[:end]), n)
+        raise
+    return (np.array(codes, dtype=np.int64), counts, np.array(col, dtype=np.int64),
+            np.array(prob, dtype=float))
+
+
+def _scan_cost(cost: dict, n: int, act_idx: dict):
+    """(pair code of each key, cost) of the cost object, read key by key:
+    ParseError at the first fault."""
+    codes, values = [], []
+    for key, c in cost.items():
+        i, a = _parse_pair_key(key, n, act_idx)
+        codes.append(i * len(act_idx) + a)
+        values.append(_json_number(c, "cost", key))
+    return np.array(codes, dtype=np.int64), np.array(values, dtype=float)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _summed(keys, counts, col, prob, n: int):
+    """The entries (row, col, prob) of rows whose counts[k] entries are
+    listed in order for row k (named keys[k]): repeated successors added
+    in entry order, zero sums dropped, successors ascending, and each row
+    divided once by its sum, added left to right, unless the sum is 1 up
+    to its own rounding, so that a saved model loads back unchanged.  The
+    sums are those of a Python loop adding the same way, bit for bit.
+    ParseError at the first row whose sum is off 1 by more than
+    ROW_SUM_TOL.  Finite entries may add up to an infinity or a NaN, as
+    Python floats do, silently."""
+    pair = np.repeat(np.arange(len(counts)), counts) * n + col
+    order = np.argsort(pair, kind="stable")
+    pair, prob = pair[order], prob[order]
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    value = numerics._running_sums(prob, starts)[np.append(starts, len(prob))[1:] - 1]
+    keep = value != 0.0
+    pair, value = pair[starts][keep], value[keep]
+    row, col = pair // max(n, 1), pair % max(n, 1)
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    total = np.zeros(len(counts))
+    total[row[starts]] = numerics._running_sums(value, starts)[np.append(starts, len(value))[1:] - 1]
+    off = np.abs(total - 1.0)
+    if np.any(off > ROW_SUM_TOL):
+        k = int(np.argmax(off > ROW_SUM_TOL))
+        raise ParseError(f"row sum {total[k]:.10g} != 1", key=keys[k])
+    size = np.bincount(row, minlength=len(counts))
+    return row, col, value / np.where(off > size * sys.float_info.epsilon, total, 1.0)[row]
+
+
+def _place(codes, table, what: str, actions) -> tuple[np.ndarray, list[str]]:
+    """The row of each pair code in codes, table holding each row's, and
+    what from_rows reports: each code of a pair not available, in order,
+    then each row no code names."""
+    order = np.argsort(table)
+    at = np.searchsorted(table[order], codes)
+    hit = np.append(table[order], -1)[at] == codes
+    rows = np.append(order, -1)[at]
+    named = np.zeros(len(table), dtype=bool)
+    named[rows[hit]] = True
+    n_act = max(len(actions), 1)
+    return rows, ([f"{what} stored for unavailable pair ({c // n_act},{c % n_act})"
+                   for c in codes[~hit].tolist()]
+                  + [f"missing {what} at ({t // n_act},{actions[t % n_act]})"
+                     for t in table[~named].tolist()])
 
 
 def load(path) -> LabeledMdp:
@@ -455,6 +612,18 @@ def _json_number(value, what: str, key: str) -> float:
     return number
 
 
+def _numbers(values: list) -> np.ndarray | None:
+    """values as floats, or None unless each is an int or a float (not a
+    bool) within the float range and finite."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:
+        return None
+    return out if np.all(np.isfinite(out)) else None
+
+
 def _of_kind(value, kind: type, key: str | None):
     """value itself, or ParseError if it is not a JSON object (dict) or
     array (list) as kind asks."""
@@ -494,6 +663,32 @@ def _int(text: str, message: str, **where) -> int:
         return int(text)
     except ValueError:
         raise ParseError(message, **where) from None
+
+
+def _state_keys(keys, n: int) -> list[int] | None:
+    """The state each key names, or None unless every key is ASCII digits
+    naming a state: int() also reads " 1", "+1" and "0_1", and
+    str.isdigit() accepts "²", so such keys take the scalar checks."""
+    if not (keys and set(map(type, keys)) <= {str}):
+        return None
+    text = "".join(keys)
+    if not (all(keys) and text.isascii() and text.isdigit()):
+        return None
+    states = list(map(int, keys))
+    return states if max(states) < n else None
+
+
+def _pair_codes(keys: list, n: int, act_idx: dict) -> np.ndarray | None:
+    """state * len(act_idx) + action of each "state,action" key, or None
+    unless each is a key of _state_keys, a comma and a listed action."""
+    parts = [key.split(",") for key in keys] if set(map(type, keys)) <= {str} else []
+    if set(map(len, parts)) != {2}:
+        return None
+    heads, names = zip(*parts)
+    states, acts = _state_keys(heads, n), list(map(act_idx.get, names))
+    if states is None or None in acts:
+        return None
+    return np.array(states, dtype=np.int64) * len(act_idx) + np.array(acts, dtype=np.int64)
 
 
 def _parse_state_key(key: str, n: int) -> int:

@@ -1,6 +1,7 @@
 """Linear-algebra kernels: linear solves, Cesaro-limit matrix,
 deviation matrix, transient-matrix inversion and the sparse transient
-solve of the policy-iteration loop.
+solve of the policy-iteration loop; the strongly connected components
+and the in-order running sums the other modules share.
 
 All routines operate on plain numpy arrays (row-major, float64) and are
 pure functions; transient_solve takes its matrix in compressed rows.
@@ -26,6 +27,7 @@ RANK_RCOND = 1e-10
 # x86-64 host); on the one-successor chain the two tie at 10 to 11 columns,
 # and at 51 the floats take 2.4 times as long
 NARROW_COLUMNS = 8
+_SHORT = 16  # segments up to this long are summed one position per pass
 
 
 @dataclass
@@ -155,6 +157,29 @@ def _closing_components(n, succ):
                     u = path[-1]
                     if low[v] < low[u]:
                         low[u] = low[v]
+
+
+def _running_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Running sums of `values` that restart from 0.0 at each index in
+    `starts` (ascending, the first 0; the last may equal len(values)).
+    Each segment is added left to right, bit for bit as a Python loop
+    adds it: np.cumsum accumulates in order, where np.sum and
+    np.add.reduceat add pairwise and differ in the last bits.  A long
+    segment is one np.cumsum; the short ones advance together, one
+    position per pass, so a run of one-entry segments takes one pass."""
+    out = values + 0.0
+    ends = np.append(starts[1:], len(values))
+    long = ends - starts > _SHORT
+    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
+        out[a:b] = np.cumsum(out[a:b])
+    pos, stop = starts[~long] + 1, ends[~long]
+    live = pos < stop
+    while live.any():
+        pos, stop = pos[live], stop[live]
+        out[pos] += out[pos - 1]
+        pos += 1
+        live = pos < stop
+    return out
 
 
 def stationary_distribution(P) -> np.ndarray:

@@ -10,7 +10,7 @@ from functools import cached_property
 
 from .dra import Dra
 from .errors import AlphabetMismatch, PiUnused, UntrackedState
-from .mdp import LabeledMdp, StationaryPolicy
+from .mdp import EMPTY_LABEL, LabeledMdp, StationaryPolicy
 
 
 @dataclass(frozen=True)
@@ -92,7 +92,7 @@ def build_product(mdp: LabeledMdp, dra: Dra, pi: str) -> ProductMdp:
     pi_states = frozenset(i for i, (s, _q) in enumerate(pairs_of) if pi in mdp.label[s])
     marked = frozenset([pi])
     model = mdp.take(*mdp.rows_at([s for s, _q in pairs_of]), lambda _mdp_col: col,
-                     [marked if i in pi_states else frozenset() for i in range(len(pairs_of))],
+                     [marked if i in pi_states else EMPTY_LABEL for i in range(len(pairs_of))],
                      marked)
     return ProductMdp(
         mdp=mdp,

@@ -16,6 +16,7 @@ from random import Random
 
 import numpy as np
 
+from . import numerics
 from .mdp import LabeledMdp, StationaryPolicy
 from .product import ExecutablePolicy, ProductMdp
 
@@ -66,36 +67,10 @@ class SimReport:
 
 
 CHUNK = 4096  # stages stepped between two rounds of numpy bookkeeping
-_SHORT = 16  # segments up to this long are summed one position per pass
-
-
-def _running_sums(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Running sums of `values` that restart from 0.0 at each index in
-    `starts` (ascending, the first 0; the last may equal len(values)).
-    Each segment is added left to right, bit for bit as a Python loop
-    adds it: np.cumsum accumulates in order, where np.sum and
-    np.add.reduceat add pairwise and differ in the last bits.  A long
-    segment is one np.cumsum; the short ones advance together, one
-    position per pass, so a run of one-entry segments takes one pass."""
-    out = values + 0.0
-    ends = np.append(starts[1:], len(values))
-    long = ends - starts > _SHORT
-    for a, b in zip(starts[long].tolist(), ends[long].tolist()):
-        out[a:b] = np.cumsum(out[a:b])
-    pos, stop = starts[~long] + 1, ends[~long]
-    live = pos < stop
-    while live.any():
-        pos, stop = pos[live], stop[live]
-        out[pos] += out[pos - 1]
-        pos += 1
-        live = pos < stop
-    return out
-
-
 def _cumulative(entry_ptr: np.ndarray, prob: np.ndarray) -> list[float]:
     """Each row's cumulative probabilities, its last set to 1.0 to guard
     against roundoff at the top end."""
-    cum = _running_sums(prob, entry_ptr[:-1])
+    cum = numerics._running_sums(prob, entry_ptr[:-1])
     cum[entry_ptr[1:] - 1] = 1.0
     return cum.tolist()
 
@@ -162,7 +137,7 @@ def _run(rows, cost: np.ndarray, state: int, n_stages: int, seed: int, pi_states
         cycles += len(ends)
         if collect_cycle_costs:
             # the chunk's cycles, the first carrying the open cycle's cost in
-            sums = _running_sums(np.append(cycle_cost, paid), np.append(0, ends + 2))
+            sums = numerics._running_sums(np.append(cycle_cost, paid), np.append(0, ends + 2))
             per_cycle.extend(sums[ends + 1].tolist())
             cycle_cost = 0.0 if len(ends) and ends[-1] == size - 1 else sums[-1]
         if until is not None and len(entered := np.flatnonzero(until[went])):

@@ -1,8 +1,9 @@
 """Source hygiene checks that need no linter: every import is used,
 every private module-level function in src/ is referenced from src/,
 every public module-level function or class in src/ is exported or
-referenced from src/, tests/ or bench/, and only sim._run loops over
-the stage count."""
+referenced from src/, tests/ or bench/, only sim._run loops over the
+stage count, the JSON loader does not build through from_rows, and the
+running sums are defined once."""
 
 import ast
 import dataclasses
@@ -223,3 +224,40 @@ def test_one_row_representation():
     for record in (mdp, product.model, problem.mdp, component):
         assert [f.name for f in dataclasses.fields(record)
                 if isinstance(getattr(record, f.name), dict) or "dict" in str(f.type)] == []
+
+
+def reached_functions(source: str, start: str) -> set[str]:
+    """Module-level functions of `source` that `start` reads by name,
+    directly or through the module-level functions it reads."""
+    bodies = {stmt.name: stmt for stmt in ast.parse(source).body
+              if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    reached, todo = set(), [start]
+    while todo:
+        for node in ast.walk(bodies[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in bodies and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    return reached
+
+
+def test_detects_reached_function():
+    source = ("def load():\n    return parse()\n\ndef parse():\n    return [build]\n\n"
+              "def build():\n    pass\n\ndef other():\n    load()\n")
+    assert reached_functions(source, "load") == {"parse", "build"}
+    assert reached_functions(source, "build") == set()
+
+
+def test_loader_fills_the_arrays_itself():
+    """The JSON loader builds the compressed rows in array passes: nothing
+    it reaches calls from_rows, the constructor for code with keyed rows."""
+    reached = reached_functions((REPO / "src" / "cyclesynth" / "mdp.py").read_text(),
+                                "from_json_dict")
+    assert "from_rows" not in reached and "_summed" in reached
+
+
+def test_running_sums_defined_once():
+    """The in-order running sums the loader and the simulator share live
+    in numerics alone."""
+    assert [path.name for path in PACKAGE for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.FunctionDef) and node.name == "_running_sums"] == [
+        "numerics.py"]
