@@ -44,10 +44,10 @@ class CycleProblem:
 
     The states may split into blocks: block b holds the states from
     starts[b] up to the next start (the last block up to n), no row
-    leaves its block, and each block has cycle states of its own.  Such a
-    problem is the disjoint union of one problem per block, and every
-    function here treats each block as it would treat that problem
-    alone.  By default the whole MDP is one block."""
+    leaves its block, and every block has the same number of cycle states,
+    the width.  Such a problem is the disjoint union of one problem per
+    block, and every function here treats each block as it would treat
+    that problem alone.  By default the whole MDP is one block."""
 
     mdp: LabeledMdp
     pi_states: frozenset[int]
@@ -67,8 +67,9 @@ class CycleProblem:
                              f"{mdp.n_states}")
         if np.any(self.block[mdp.col] != self.block[mdp.row_state][mdp.entry_row]):
             raise ValueError("a row leaves its block")
-        if np.any(self.cycle_counts == 0):
-            raise ValueError("every block needs cycle states")
+        if np.any(np.bincount(self.block[self.cycle_states], minlength=len(starts))
+                  != self.width):
+            raise ValueError("every block needs the same number of cycle states")
 
     def pi_mask(self) -> np.ndarray:
         mask = np.zeros(self.mdp.n_states, dtype=bool)
@@ -91,39 +92,19 @@ class CycleProblem:
         return np.array(sorted(self.pi_states), dtype=np.intp)
 
     @cached_property
-    def cycle_first(self) -> np.ndarray:
-        """Where each block's cycle states start in cycle_states, and
-        their count at the end."""
-        return np.searchsorted(self.cycle_states, [*self.starts, self.mdp.n_states])
-
-    @cached_property
-    def cycle_counts(self) -> np.ndarray:
-        return np.diff(self.cycle_first)
-
-    @cached_property
-    def cycle_rank(self) -> np.ndarray:
-        """Each cycle state's place among its block's (0 elsewhere)."""
-        rank = np.zeros(self.mdp.n_states, dtype=np.intp)
-        pi = self.cycle_states
-        rank[pi] = np.arange(len(pi)) - self.cycle_first[self.block[pi]]
-        return rank
+    def width(self) -> int:
+        """The number of cycle states in each block."""
+        return len(self.pi_states) // len(self.starts)
 
     @cached_property
     def dense_groups(self) -> tuple[tuple[int, int, int, int], ...]:
         """(lo, hi, a, b): the states lo:hi and cycle states
         cycle_states[a:b] of consecutive blocks that share their dense
-        solves.  A block with several cycle states is a group alone; blocks
-        with one each are grouped, up to DENSE_GROUP of them."""
-        first, counts = self.cycle_first.tolist(), self.cycle_counts.tolist()
-        ends = [*self.starts[1:], self.mdp.n_states]
-        groups: list[list[int]] = []
-        for b, (lo, hi, k) in enumerate(zip(self.starts, ends, counts)):
-            last = groups[-1] if groups else None
-            if k == 1 and last and last[3] - last[2] == b - last[4] < DENSE_GROUP:
-                last[1], last[3] = hi, first[b + 1]  # one cycle state per block so far
-            else:
-                groups.append([lo, hi, first[b], first[b + 1], b])
-        return tuple((lo, hi, a, b) for lo, hi, a, b, _block in groups)
+        solves: runs of up to DENSE_GROUP blocks of width 1, or one block
+        each of a larger width."""
+        k, bounds = self.width, [*self.starts, self.mdp.n_states]
+        firsts = [*range(0, len(self.starts), DENSE_GROUP if k == 1 else 1), len(self.starts)]
+        return tuple((bounds[b], bounds[c], b * k, c * k) for b, c in zip(firsts, firsts[1:]))
 
 
 @dataclass(frozen=True)
@@ -188,43 +169,33 @@ def _first_return(problem: CycleProblem, rows):
     closed class of R never enters the cycle set, so the policy is
     improper: ImproperPolicy.  Returns (P, R, g, X): P and R apply P_mu
     and R to a vector, X[i, c] is the first-entry probability into the
-    c-th cycle state of i's block (0 past its count) and X[:, -1] the
-    cycle cost.
+    c-th cycle state of i's block and X[:, -1] the cycle cost.
 
-    Blocks with k cycle states are solved together, on k + 1 columns:
-    the solve works state by state, but the matrix product inside a
+    The solve works state by state, but the matrix product inside a
     strongly connected block of R groups its sums by the number of
-    columns, so each block gets the bits its problem alone would get."""
+    columns; every block has width + 1 of them, so each block gets the
+    bits its problem alone would get."""
     mdp = problem.mdp
     indptr, col, prob = mdp.chain(rows)
-    n = mdp.n_states
+    n, k = mdp.n_states, problem.width
     mask = problem.pi_mask()
     row = np.repeat(np.arange(n), np.diff(indptr))
     into = mask[col]
     stay = ~into
-    counts = problem.cycle_counts
-    width = int(counts.max())
-    rhs = np.zeros((n, width + 1))
-    rhs[row[into], problem.cycle_rank[col[into]]] = prob[into]
+    rhs = np.zeros((n, k + 1))
+    rhs[row[into], np.searchsorted(problem.cycle_states, col[into]) % k] = prob[into]
     g = mdp.cost[rows]
     rhs[:, -1] = g
     r_row, r_col, r_prob = row[stay], col[stay], prob[stay]
     exit = np.bincount(row[into], weights=prob[into], minlength=n)
-    X = np.zeros((n, width + 1))
-    for k in sorted(set(counts.tolist())):  # np.unique would import numpy.ma, 0.5 MB
-        states = np.flatnonzero(counts[problem.block] == k)
-        local = np.cumsum(counts[problem.block] == k) - 1
-        keep = counts[problem.block[r_row]] == k
-        columns = [*range(k), width]
-        try:
-            X[states[:, np.newaxis], columns] = numerics.transient_solve(
-                np.concatenate(([0], np.cumsum(np.bincount(local[r_row[keep]],
-                                                           minlength=len(states))))),
-                local[r_col[keep]], r_prob[keep], exit[states], rhs[states][:, columns])
-        except NotTransient as exc:
-            raise ImproperPolicy(
-                "some state never enters the cycle set under this policy; "
-                f"its per-cycle cost is infinite ({exc})") from exc
+    try:
+        X = numerics.transient_solve(
+            np.concatenate(([0], np.cumsum(np.bincount(r_row, minlength=n)))),
+            r_col, r_prob, exit, rhs)
+    except NotTransient as exc:
+        raise ImproperPolicy(
+            "some state never enters the cycle set under this policy; "
+            f"its per-cycle cost is infinite ({exc})") from exc
 
     def P(x):
         return np.bincount(row, weights=prob * x[col], minlength=n)
@@ -238,11 +209,10 @@ def _first_return(problem: CycleProblem, rows):
 def first_return_kernel(problem: CycleProblem, mu: StationaryPolicy) -> np.ndarray:
     """First-entry distribution over the cycle set: (I - right)^{-1} left."""
     *_, X = _first_return(problem, _policy_rows(problem.mdp, mu))
-    n, block = problem.mdp.n_states, problem.block
-    # (state, c) for the c-th cycle state of each state's block
-    cells = np.nonzero(np.arange(X.shape[1] - 1) < problem.cycle_counts[block][:, np.newaxis])
+    n, k = problem.mdp.n_states, problem.width
     tilde = np.zeros((n, n))
-    tilde[cells[0], problem.cycle_states[problem.cycle_first[block[cells[0]]] + cells[1]]] = X[cells]
+    # column c of X is the c-th cycle state of each state's block
+    tilde[np.arange(n)[:, np.newaxis], problem.cycle_states.reshape(-1, k)[problem.block]] = X[:, :k]
     if np.max(np.abs(tilde.sum(axis=1) - 1.0)) > EVAL_TOL:
         raise NumericalFailure("first-return kernel rows do not sum to 1")
     return tilde
@@ -604,8 +574,7 @@ def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
     other state takes its first action with a successor one layer
     closer, and states no layer reaches take their first action."""
     everywhere = frozenset(mdp.states)
-    layers = mdp.backward_layers(targets, everywhere)
-    choice = mdp.layer_choice(layers, everywhere)
+    layers, choice = mdp.backward_layers(targets, everywhere)
     settled = {i for layer in layers for i in layer}
     (col, at), ptr, action = mdp.successor_lists(), mdp.row_ptr.tolist(), mdp.action.tolist()
     for t in targets:

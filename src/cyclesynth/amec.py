@@ -109,7 +109,7 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
         raise EmptyTarget("target set is empty")
     u = set(product.states)
     while True:
-        layers = product.model.backward_layers(target, u)
+        layers, _choice = product.model.backward_layers(target, u)
         if sum(map(len, layers)) == len(u):
             return frozenset(u)
         u = {i for layer in layers for i in layer}
@@ -129,8 +129,7 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
         raise NotReachableAlmostSurely(
             "the initial state cannot reach this accepting component with "
             "probability 1")
-    model = product.model
-    choice = model.layer_choice(model.backward_layers(amec.states, safe), safe)
+    _layers, choice = product.model.backward_layers(amec.states, safe)
     # states outside the almost-sure set never occur under this policy;
     # give them any available action so the stitched policy is total
     for i in product.states:

@@ -123,43 +123,30 @@ class LabeledMdp:
         ptr = np.cumsum(np.bincount(self.col, minlength=self.n_states)).tolist()
         return tuple(rows[lo:hi] for lo, hi in zip([0, *ptr], ptr))
 
-    def backward_layers(self, target, within) -> list[list[int]]:
+    def backward_layers(self, target, within) -> tuple[list[list[int]], dict[int, int]]:
         """Breadth-first layers of the attractor of target inside within
-        (Baier & Katoen, Principles of Model Checking, 10.6.1): layers[0]
-        is target & within, and layers[d] holds the states not in an
-        earlier layer with a row into layers[d-1] whose state and
-        successors all lie in within.  A row is read at most once per
-        successor."""
+        (Baier & Katoen, Principles of Model Checking, 10.6.1), and a
+        choice: layers[0] is target & within, and layers[d] holds the states
+        not in an earlier layer with a row into layers[d-1] whose state and
+        successors all lie in within; each such state chooses the action of
+        its least such row.  A row is read at most once per successor."""
         (col, ptr), state, pred = self.successor_lists(), self.row_state.tolist(), self.pred
         layer = [j for j in target if j in within]
-        seen = set(layer)
+        seen, choice = set(layer), {}
         layers = []
         while layer:
             layers.append(layer)
-            nxt = []
+            nxt: dict[int, int] = {}  # state -> its least row into layer
             for j in layer:
                 for r in pred[j]:
                     i = state[r]
-                    if i not in seen and i in within and within.issuperset(col[ptr[r]:ptr[r + 1]]):
-                        seen.add(i)
-                        nxt.append(i)
-            layer = nxt
-        return layers
-
-    def layer_choice(self, layers, within) -> dict[int, int]:
-        """Each state of layers[d], d >= 1, takes its first available
-        action whose successors stay in within and meet layers[d-1]."""
-        (col, at), ptr, action = self.successor_lists(), self.row_ptr.tolist(), self.action.tolist()
-        choice = {}
-        for closer, layer in zip(layers, layers[1:]):
-            closer = set(closer)
-            for i in layer:
-                for r in range(ptr[i], ptr[i + 1]):
-                    row = col[at[r]:at[r + 1]]
-                    if within.issuperset(row) and not closer.isdisjoint(row):
-                        choice[i] = action[r]
-                        break
-        return choice
+                    if i not in seen and r < nxt.get(i, r + 1) and i in within \
+                            and within.issuperset(col[ptr[r]:ptr[r + 1]]):
+                        nxt[i] = r
+            seen.update(nxt)
+            choice.update(nxt)
+            layer = list(nxt)
+        return layers, dict(zip(choice, self.action[list(choice.values())].tolist()))
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -523,7 +510,8 @@ def _summed(keys, counts, col, prob, n: int):
     listed in order for row k (named keys[k]): repeated successors added
     in entry order, zero sums dropped, successors ascending, and each row
     divided once by its sum, added left to right, unless the sum is 1 up
-    to its own rounding, so that a saved model loads back unchanged.  The
+    to its own rounding, so that a saved model loads back unchanged; a row
+    of one successor is always divided, as v / v is exactly 1.  The
     sums are those of a Python loop adding the same way, bit for bit.
     ParseError at the first row whose sum is off 1 by more than
     ROW_SUM_TOL.  Finite entries may add up to an infinity or a NaN, as
@@ -544,7 +532,8 @@ def _summed(keys, counts, col, prob, n: int):
         k = int(np.argmax(off > ROW_SUM_TOL))
         raise ParseError(f"row sum {total[k]:.10g} != 1", key=keys[k])
     size = np.bincount(row, minlength=len(counts))
-    return row, col, value / np.where(off > size * sys.float_info.epsilon, total, 1.0)[row]
+    scaled = (off > size * sys.float_info.epsilon) | (size == 1)
+    return row, col, value / np.where(scaled, total, 1.0)[row]
 
 
 def _place(codes, table, what: str, actions) -> tuple[np.ndarray, list[str]]:

@@ -101,11 +101,13 @@ def union_cycle_problem(product: ProductMdp, components):
 
 
 def _unions(solvable):
-    """The (index, component) pairs in runs of at most UNION_STATES
+    """The (index, component) pairs by width, their number of cycle
+    states, in index order within a width: in runs of at most UNION_STATES
     states, or of one larger component."""
     batch, size = [], 0
-    for item in solvable:
-        if batch and size + len(item[1].states) > UNION_STATES:
+    for item in sorted(solvable, key=lambda item: len(item[1].pi_states)):
+        if batch and (size + len(item[1].states) > UNION_STATES
+                      or len(item[1].pi_states) != len(batch[0][1].pi_states)):
             yield batch
             batch, size = [], 0
         batch.append(item)

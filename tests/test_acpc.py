@@ -259,16 +259,24 @@ class TestBlocks:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 399), min_size=2, max_size=6))
     def test_random_problems_side_by_side(self, seeds):
-        self.assert_as_alone([random_cycle_problem(seed) for seed in seeds])
+        """Seeds 0-399 span widths 1 to 6; the problems of each width drawn
+        are solved side by side."""
+        by_width = {}
+        for seed in seeds:
+            part = random_cycle_problem(seed)
+            by_width.setdefault(len(part[0].pi_states), []).append(part)
+        for parts in by_width.values():
+            self.assert_as_alone(parts)
 
     def test_not_optimal_next_to_optimal(self):
-        """Problems 218 and 108 end notOptimal at iterations 2 and 1, while
-        the others go on around them."""
-        results = self.assert_as_alone([random_cycle_problem(seed)
-                                        for seed in (3, 218, 5, 108, 9)])
+        """Problems 218 (width 4) and 108 (width 3) end notOptimal at
+        iterations 2 and 1, while the others of their widths go on around
+        them up to iteration 3."""
+        results = [r for seeds in ((6, 218, 37), (75, 108, 25))
+                   for r in self.assert_as_alone([random_cycle_problem(seed) for seed in seeds])]
         assert [r.status is PolicyIterationStatus.NOT_OPTIMAL for r in results] == [
-            False, True, False, True, False]
-        assert (results[1].iterations, results[3].iterations) == (2, 1)
+            False, True, False, False, True, False]
+        assert [r.iterations for r in results] == [3, 2, 3, 3, 1, 2]
 
     def test_bellman_tolerance_of_the_block(self):
         """The cheap block's first policy misses the optimum by 2e-6, far
@@ -317,6 +325,42 @@ class TestBlocks:
             CycleProblem(mdp=union.mdp, pi_states=frozenset({0}), starts=union.starts)
         with pytest.raises(ValueError, match="every block"):
             acpc.block_policy_iteration(union, {0})
+
+    def test_blocks_of_one_width_only(self):
+        """A block of width 1 next to one of width 2 is refused; blocks of
+        width 2 side by side are not."""
+        union = side_by_side([two_cycles(1.0), two_cycles(2.0)])[0]
+        with pytest.raises(ValueError, match="same number of cycle states"):
+            CycleProblem(mdp=union.mdp, pi_states=frozenset({0, 2, 3}), starts=union.starts)
+        assert CycleProblem(mdp=union.mdp, pi_states=frozenset({0, 1, 2, 3}),
+                            starts=union.starts).width == 2
+
+    def test_one_first_return_solve_per_evaluation(self, monkeypatch):
+        """acpc_evaluate on a union of width 3 makes one transient_solve
+        call, on width + 1 columns."""
+        union, _k = side_by_side([random_cycle_problem(seed) for seed in (3, 75, 108, 25)])
+        assert union.width == 3
+        calls = []
+        exact = numerics.transient_solve
+
+        def counting(indptr, col, val, exit, rhs):
+            calls.append(rhs.shape)
+            return exact(indptr, col, val, exit, rhs)
+
+        monkeypatch.setattr(numerics, "transient_solve", counting)
+        acpc.acpc_evaluate(union, union.mdp.row_ptr[:-1])
+        assert calls == [(union.mdp.n_states, 4)]
+
+    def test_dense_groups_from_the_width(self):
+        """Blocks of width 1 share their dense solves, up to DENSE_GROUP of
+        them; blocks of a larger width are solved one at a time."""
+        narrow = side_by_side([two_cycles(1.0)] * (acpc.DENSE_GROUP + 3))[0]
+        m = 2 * acpc.DENSE_GROUP
+        assert narrow.dense_groups == ((0, m, 0, acpc.DENSE_GROUP),
+                                       (m, m + 6, acpc.DENSE_GROUP, acpc.DENSE_GROUP + 3))
+        pair = side_by_side([two_cycles(1.0)] * 2)[0]
+        wide = CycleProblem(mdp=pair.mdp, pi_states=frozenset(range(4)), starts=pair.starts)
+        assert wide.dense_groups == ((0, 2, 0, 2), (2, 4, 2, 4))
 
 
 class TestOptimalityCheck:

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -445,14 +446,14 @@ def each_block_as_alone(mdp, dra, pi):
     for idx, component in solvable:
         problem, k_local, _local, _ordered = amec_cycle_problem(product, component)
         alone[idx] = acpc.policy_iteration(problem, k_local)
-    problem, k_local, _ordered = synth.union_cycle_problem(product, [c for _idx, c in solvable])
-    union = acpc.block_policy_iteration(problem, k_local)
-    assert len(union) == len(solvable)
-    for (idx, _c), got in zip(solvable, union):
-        want = alone[idx]
-        assert (got.status, got.iterations, got.policy) == (want.status, want.iterations,
-                                                            want.policy)
-        assert got.gain_bias.lam == pytest.approx(want.gain_bias.lam, rel=1e-12, abs=0.0)
+    for batch in synth._unions(solvable):
+        problem, k_local, _ordered = synth.union_cycle_problem(product, [c for _idx, c in batch])
+        union = acpc.block_policy_iteration(problem, k_local)
+        for (idx, _c), got in zip(batch, union, strict=True):
+            want = alone[idx]
+            assert (got.status, got.iterations, got.policy) == (want.status, want.iterations,
+                                                                want.policy)
+            assert got.gain_bias.lam == pytest.approx(want.gain_bias.lam, rel=1e-12, abs=0.0)
     try:
         result = synthesize(mdp, dra, pi)
     except NoReachableAmec:
@@ -472,18 +473,34 @@ class TestUnionAgainstAlone:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(0, 399), min_size=2, max_size=6))
     def test_products_of_several_parts(self, seeds):
+        """The parts' components span several widths, each solved in the
+        union of its width."""
         alone = each_block_as_alone(parted_mdp([(seed, 1.0) for seed in seeds]),
                                     k_tracking_dra(), "pi")
         assert len(alone) >= 2
 
     def test_a_component_not_optimal_changes_no_other(self):
-        """Part 14 ends notOptimal (its constrained selection fails); the
-        components around it still get their own answers."""
-        alone = each_block_as_alone(parted_mdp([(3, 1.0), (14, 1.0), (21, 1.0), (7, 1.0)]),
-                                    k_tracking_dra(), "pi")
-        statuses = [result.status for result in alone.values()]
-        assert PolicyIterationStatus.NOT_OPTIMAL in statuses
-        assert PolicyIterationStatus.OPTIMAL in statuses
+        """The components of parts 14 and 21 end notOptimal (their
+        constrained selection fails); part 7's, of their width 2 and so in
+        their union, and part 3's, of width 3, still get their own answers."""
+        mdp = parted_mdp([(3, 1.0), (14, 1.0), (21, 1.0), (7, 1.0)])
+        alone = each_block_as_alone(mdp, k_tracking_dra(), "pi")
+        components = amec_mod.accepting_amecs(build_product(mdp, k_tracking_dra(), "pi"))
+        assert [(len(components[idx].pi_states), result.status.value)
+                for idx, result in sorted(alone.items())] == [
+            (2, "notOptimal"), (2, "notOptimal"), (2, "optimal"), (3, "optimal")]
+
+    def test_unions_by_width(self, monkeypatch):
+        """Components are batched by width, in index order within a width,
+        each batch within UNION_STATES states unless one component alone
+        is larger."""
+        monkeypatch.setattr(synth, "UNION_STATES", 10)
+        shapes = [(4, 1), (3, 2), (5, 1), (2, 1), (12, 2), (6, 2), (3, 1)]
+        solvable = [(idx, SimpleNamespace(states=frozenset(range(size)),
+                                          pi_states=frozenset(range(width))))
+                    for idx, (size, width) in enumerate(shapes)]
+        assert [[idx for idx, _c in batch] for batch in synth._unions(solvable)] == [
+            [0, 2], [3, 6], [1], [4], [5]]
 
     def test_cheap_next_to_dear(self):
         """A part with gains near 1 next to the same part with costs a
