@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import json
 import subprocess
 import sys
@@ -127,6 +128,31 @@ class TestSynthesize:
         assert set(result.stitched_policy.choice) == set(result.product.states)
         for i, a in result.stitched_policy.choice.items():
             assert a in result.product.available(i)
+
+    @pytest.mark.parametrize("name, text_digest, keys_digest", [
+        ("pickup_delivery", "c3242c81da1eb946f6a120ca0a8090fa711a1d3573c97be6ab457946131322be",
+         "a6d5928dda29c077c4691569ad091a4e4adeff5a4e7748fe44a5a81dcf1c93e5"),
+        ("rooms20", "6ab38e426decdd1796d1e70258b1a6907c239013cd302c5c417818c493ddd9fc",
+         "f709592d8009c9dad68dd11ec19b4ca0bc93bac7b6b6361275a95741f02e44ee"),
+    ])
+    def test_policy_json_pinned(self, name, text_digest, keys_digest, monkeypatch):
+        """The policy document, as `synthesize --out` writes it, is the
+        same byte for byte, and its "choices" keep their order (product
+        state order): SHA-256 digests of the text and of the keys, one a
+        line, recorded from the dict-backed policy."""
+        if name == "pickup_delivery":
+            problem = pickup_delivery_mdp(), pickup_delivery_dra(), "pickup"
+        else:
+            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+            from cyclebench import workloads
+
+            text = workloads.rooms(20, 0)
+            problem = (mdp_mod.from_json_dict(json.loads(text.mdp_json)),
+                       dra_mod.parse_json(text.dra_json), text.pi)
+        doc = synthesize(*problem).policy_json_dict()
+        dumped = json.dumps(doc, indent=2, sort_keys=True)
+        assert hashlib.sha256(dumped.encode()).hexdigest() == text_digest
+        assert hashlib.sha256("\n".join(doc["choices"]).encode()).hexdigest() == keys_digest
 
     def test_phase_dependent_choice(self):
         """The synthesized controller may act differently at the same cell
