@@ -159,7 +159,7 @@ def _policy_rows(mdp: LabeledMdp, mu) -> np.ndarray:
     array of rows itself."""
     if isinstance(mu, np.ndarray):
         return mu
-    return mdp.rows_of([mu.action(i) for i in mdp.states])
+    return mdp.rows_of(mu.choice)
 
 
 def _first_return(problem: CycleProblem, rows):
@@ -285,7 +285,9 @@ def acpc_evaluate_direct(problem: CycleProblem, mu: StationaryPolicy,
     An oracle for acpc_evaluate; the dense 3n x 3n least-squares solve
     makes it far too slow for the policy-iteration loop.
     """
-    _require_proper(problem, mu)
+    if not is_proper(problem.mdp, mu, problem.pi_states):
+        raise ImproperPolicy("some state cannot reach the cycle set under this policy; "
+                             "its per-cycle cost is infinite")
     kern = split_kernel(problem, mu)
     P, g = problem.mdp.policy_matrices(mu)
     n = problem.mdp.n_states
@@ -387,8 +389,7 @@ def block_policy_iteration(problem: CycleProblem, k_states, init: StationaryPoli
                                "in every block")
 
     if init is not None:
-        choice = [init.action(i) for i in mdp.states]
-        rows, classes = mdp.rows_of(choice), _chain_classes(mdp, choice)
+        rows, classes = mdp.rows_of(init.choice), _chain_classes(mdp, init.choice)
         proper, _, _ = _policy_conditions(problem, classes, k_states)
         if not proper.all():
             raise ImproperPolicy("the supplied initial policy is improper")
@@ -448,7 +449,7 @@ def _block_result(problem: CycleProblem, b: int, rows, gb: AcpcGainBias,
                   status: PolicyIterationStatus, iterations: int) -> PolicyIterationResult:
     """Block b's policy and gain-bias, on its own state indices."""
     at = slice(problem.starts[b], (*problem.starts, problem.mdp.n_states)[b + 1])
-    policy = StationaryPolicy(dict(enumerate(problem.mdp.action[rows[at]].tolist())))
+    policy = StationaryPolicy(problem.mdp.action[rows[at]].tolist())
     gain = AcpcGainBias(J=gb.J[at].copy(), h=gb.h[at].copy(), v=gb.v[at].copy())
     return PolicyIterationResult(policy, gain, status, iterations)
 
@@ -559,7 +560,7 @@ def _initial_policy(problem: CycleProblem, k_states):
     todo = np.ones(len(problem.starts), dtype=bool)
     rows = None
     for targets in (set(least_k.values()), problem.pi_states):
-        tree = mdp.rows_of(_tree_policy(mdp, targets))
+        tree = _tree_policy(mdp, targets)
         candidate = tree if rows is None else np.where(todo[block], tree, rows)
         rows, classes, repaired = _constrained_select(problem, candidate, every, k_states, todo)
         todo &= ~repaired
@@ -569,21 +570,19 @@ def _initial_policy(problem: CycleProblem, k_states):
     return rows, _chain_classes(mdp, mdp.action[rows])
 
 
-def _tree_policy(mdp: LabeledMdp, targets) -> tuple[int, ...]:
-    """Backward BFS layers toward the target set over every row; each
-    other state takes its first action with a successor one layer
-    closer, and states no layer reaches take their first action."""
-    everywhere = frozenset(mdp.states)
-    layers, choice = mdp.backward_layers(targets, everywhere)
+def _tree_policy(mdp: LabeledMdp, targets) -> np.ndarray:
+    """The rows of a tree toward the target set, from backward BFS layers
+    over every row: each other state takes its first row with a successor
+    one layer closer, and states no layer reaches take their first row."""
+    layers, least = mdp.backward_layers(targets, frozenset(mdp.states))
     settled = {i for layer in layers for i in layer}
-    (col, at), ptr, action = mdp.successor_lists(), mdp.row_ptr.tolist(), mdp.action.tolist()
+    (col, at), ptr = mdp.successor_lists(), mdp.row_ptr.tolist()
     for t in targets:
         # re-enter the tree: any action works, prefer one whose support
         # includes a settled state
         rows = range(ptr[t], ptr[t + 1])
-        choice[t] = action[next((r for r in rows if not settled.isdisjoint(col[at[r]:at[r + 1]])),
-                                rows[0])]
-    return tuple(choice.get(i, action[ptr[i]]) for i in mdp.states)
+        least[t] = next((r for r in rows if not settled.isdisjoint(col[at[r]:at[r + 1]])), rows[0])
+    return np.where(least < 0, mdp.row_ptr[:-1], least)
 
 
 def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPolicy | None:
@@ -597,7 +596,7 @@ def random_initial_policy(problem: CycleProblem, k_states, rng) -> StationaryPol
                                             np.ones(len(problem.starts), dtype=bool))
     if not repaired.all():
         return None
-    return StationaryPolicy(dict(enumerate(mdp.action[rows].tolist())))
+    return StationaryPolicy(mdp.action[rows].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +619,7 @@ def brute_force_acpc(problem: CycleProblem, k_states=None,
     best_choice = None
     best_lam = math.inf
     for choice in itertools.product(*[sorted(acts) for acts in mdp.available]):
-        P, g = mdp.policy_matrices(StationaryPolicy(dict(enumerate(choice))))
+        P, g = mdp.policy_matrices(StationaryPolicy(choice))
         J = _policy_gain(P, g, pi_mask, k_set)
         if J is None:
             continue
@@ -630,7 +629,7 @@ def brute_force_acpc(problem: CycleProblem, k_states=None,
             best_choice = choice
     if best_choice is None:
         raise ImproperPolicy("no proper stationary policy meets the constraints")
-    return StationaryPolicy(dict(enumerate(best_choice))), best_lam
+    return StationaryPolicy(best_choice), best_lam
 
 
 def _policy_gain(P, g, pi_mask, k_set):
@@ -649,10 +648,3 @@ def _policy_gain(P, g, pi_mask, k_set):
     tilde_P = inv[:, :n]
     tilde_g = inv[:, n]
     return numerics.cesaro_limit(tilde_P) @ tilde_g
-
-
-def _require_proper(problem: CycleProblem, mu: StationaryPolicy):
-    if not is_proper(problem.mdp, mu, problem.pi_states):
-        raise ImproperPolicy(
-            "some state cannot reach the cycle set under this policy; "
-            "its per-cycle cost is infinite")

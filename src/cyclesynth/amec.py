@@ -7,6 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import numerics
 from .errors import EmptyTarget, NotReachableAlmostSurely
 from .mdp import StationaryPolicy
@@ -109,7 +111,7 @@ def almost_sure_reach_set(product: ProductMdp, target) -> frozenset[int]:
         raise EmptyTarget("target set is empty")
     u = set(product.states)
     while True:
-        layers, _choice = product.model.backward_layers(target, u)
+        layers, _rows = product.model.backward_layers(target, u)
         if sum(map(len, layers)) == len(u):
             return frozenset(u)
         u = {i for layer in layers for i in layer}
@@ -129,10 +131,10 @@ def reach_policy(product: ProductMdp, amec: Amec) -> StationaryPolicy:
         raise NotReachableAlmostSurely(
             "the initial state cannot reach this accepting component with "
             "probability 1")
-    _layers, choice = product.model.backward_layers(amec.states, safe)
+    model = product.model
+    _layers, least = model.backward_layers(amec.states, safe)
     # states outside the almost-sure set never occur under this policy;
-    # give them any available action so the stitched policy is total
-    for i in product.states:
-        if i not in choice and i not in amec.states:
-            choice[i] = product.available(i)[0]
-    return StationaryPolicy(choice)
+    # give them their first action so the stitched policy is total
+    choice = model.action[np.where(least < 0, model.row_ptr[:-1], least)]
+    choice[list(amec.states)] = -1
+    return StationaryPolicy(choice.tolist())

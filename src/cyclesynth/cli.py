@@ -118,7 +118,7 @@ def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
     if not isinstance(data.get("choices"), dict):
         raise ModelMismatch("the policy has no 'choices' object")
     act_idx = {a: k for k, a in enumerate(product.mdp.actions)}
-    choices = {}
+    choice = [-1] * product.n_states
     for key, action in data["choices"].items():
         pair = _state_pair(key)
         if pair not in product.index_of:
@@ -126,17 +126,17 @@ def _load_policy_on_product(product, path) -> tuple[StationaryPolicy, dict]:
         if not isinstance(action, str) or action not in act_idx:
             raise ModelMismatch(f"policy action {action!r} is not an MDP action")
         i = product.index_of[pair]
-        if i in choices:
+        if choice[i] >= 0:
             first = next(k for k in data["choices"] if _state_pair(k) == pair)
             raise ModelMismatch(f"policy keys {first!r} and {key!r} name the same product state")
         a = act_idx[action]
         if a not in product.available(i):
             raise ModelMismatch(f"action {action!r} unavailable at product state {key}")
-        choices[i] = a
-    missing = [product.state_name(i) for i in product.states if i not in choices]
+        choice[i] = a
+    missing = [product.state_name(i) for i, a in enumerate(choice) if a < 0]
     if missing:
         raise ModelMismatch(f"policy undefined at product states {missing[:5]}")
-    return StationaryPolicy(choices), data
+    return StationaryPolicy(choice), data
 
 
 def cmd_simulate(args) -> int:
@@ -176,7 +176,7 @@ def cmd_oracle(args) -> int:
     policy, lam = acpc.brute_force_acpc(problem, k_states)
     print(f"brute-force optimal lambda: {lam:.10g}")
     print("policy: " + ", ".join(
-        f"{i}->{mdp.actions[a]}" for i, a in sorted(policy.choice.items())))
+        f"{i}->{mdp.actions[a]}" for i, a in enumerate(policy.choice)))
     return EXIT_OK
 
 

@@ -31,16 +31,20 @@ EMPTY_LABEL: frozenset[str] = frozenset()
 
 @dataclass(frozen=True)
 class StationaryPolicy:
-    """Maps each state to an action index; may be partial (e.g. a reach
-    policy defined only outside an end component)."""
+    """One action index per state, -1 where undefined (a reach policy
+    inside its end component); built from it or from a {state: action} dict."""
 
-    choice: dict[int, int]
+    choice: tuple[int, ...]
+
+    def __init__(self, choice):
+        if isinstance(choice, dict):
+            choice = [choice.get(i, -1) for i in range(max(choice, default=-1) + 1)]
+        object.__setattr__(self, "choice", tuple(choice))
 
     def action(self, state: int) -> int:
-        try:
-            return self.choice[state]
-        except KeyError:
-            raise PolicyIncomplete(f"policy undefined at state {state}") from None
+        if not 0 <= state < len(self.choice) or self.choice[state] < 0:
+            raise PolicyIncomplete(f"policy undefined at state {state}")
+        return self.choice[state]
 
 
 @dataclass(frozen=True)
@@ -123,17 +127,16 @@ class LabeledMdp:
         ptr = np.cumsum(np.bincount(self.col, minlength=self.n_states)).tolist()
         return tuple(rows[lo:hi] for lo, hi in zip([0, *ptr], ptr))
 
-    def backward_layers(self, target, within) -> tuple[list[list[int]], dict[int, int]]:
+    def backward_layers(self, target, within) -> tuple[list[list[int]], np.ndarray]:
         """Breadth-first layers of the attractor of target inside within
         (Baier & Katoen, Principles of Model Checking, 10.6.1), and a
         choice: layers[0] is target & within, and layers[d] holds the states
         not in an earlier layer with a row into layers[d-1] whose state and
-        successors all lie in within; each such state chooses the action of
-        its least such row.  A row is read at most once per successor."""
+        successors all lie in within; each such state chooses its least
+        such row, every other state -1.  A row is read at most once per successor."""
         (col, ptr), state, pred = self.successor_lists(), self.row_state.tolist(), self.pred
         layer = [j for j in target if j in within]
-        seen, choice = set(layer), {}
-        layers = []
+        seen, layers = dict.fromkeys(layer, -1), []  # state -> its least row, -1 in layers[0]
         while layer:
             layers.append(layer)
             nxt: dict[int, int] = {}  # state -> its least row into layer
@@ -144,9 +147,10 @@ class LabeledMdp:
                             and within.issuperset(col[ptr[r]:ptr[r + 1]]):
                         nxt[i] = r
             seen.update(nxt)
-            choice.update(nxt)
             layer = list(nxt)
-        return layers, dict(zip(choice, self.action[list(choice.values())].tolist()))
+        least = np.full(self.n_states, -1, dtype=np.int64)
+        least[list(seen)] = list(seen.values())
+        return layers, least
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -167,8 +171,8 @@ class LabeledMdp:
         return np.minimum.reduceat(values, self.row_ptr[:-1])
 
     def rows_of(self, choice) -> np.ndarray:
-        """The row of each state's action in choice (one action per
-        state); PolicyIncomplete when a state lacks that action."""
+        """The row of each state's action in choice (-1 where undefined);
+        PolicyIncomplete names the first state lacking its action."""
         n_rows = len(self.action)
         if len(choice) != self.n_states:
             raise PolicyIncomplete("a policy needs one action per state")
@@ -176,7 +180,8 @@ class LabeledMdp:
         rows = self.segment_min(np.where(hit, np.arange(n_rows), n_rows))
         if np.any(rows == n_rows):
             i = int(np.argmax(rows == n_rows))
-            raise PolicyIncomplete(f"action {choice[i]} is not available at state {i}")
+            raise PolicyIncomplete(f"policy undefined at state {i}" if choice[i] < 0
+                                   else f"action {choice[i]} is not available at state {i}")
         return rows
 
     def take(self, row_ptr, rows, successors, label, props) -> LabeledMdp:
@@ -208,7 +213,7 @@ class LabeledMdp:
     def policy_matrices(self, mu: StationaryPolicy) -> tuple[np.ndarray, np.ndarray]:
         """Dense transition matrix and cost vector of the chain induced by
         mu, scattered from the rows."""
-        rows = self.rows_of([mu.action(i) for i in self.states])
+        rows = self.rows_of(mu.choice)
         indptr, col, prob = self.chain(rows)
         P = np.zeros((self.n_states, self.n_states))
         P[np.repeat(np.arange(self.n_states), np.diff(indptr)), col] = prob
@@ -295,7 +300,7 @@ def is_proper(mdp: LabeledMdp, mu: StationaryPolicy, target) -> bool:
     target = frozenset(target)
     if not target:
         raise EmptyTarget("target set is empty")
-    classes = _chain_classes(mdp, [mu.action(i) for i in mdp.states])
+    classes = _chain_classes(mdp, mu.choice)
     return all(not target.isdisjoint(c) for c in classes)
 
 

@@ -120,11 +120,10 @@ class ExecutablePolicy:
         self.product = product
         self.n_q = product.dra.n_states
         self.index = product.index
-        try:
-            self.choice = list(map(policy_on_product.choice.__getitem__, product.states))
-        except KeyError as exc:
-            raise UntrackedState(
-                f"policy undefined at product state {product.state_name(exc.args[0])}") from None
+        self.choice = policy_on_product.choice[:product.n_states]
+        first = (*self.choice, -1).index(-1)  # the first undefined state, or past the end
+        if first < product.n_states:
+            raise UntrackedState(f"policy undefined at product state {product.state_name(first)}")
         self.q_next = product.q_next
         self.q = product.dra.start
 

@@ -78,7 +78,7 @@ def _cumulative(entry_ptr: np.ndarray, prob: np.ndarray) -> list[float]:
 def _policy_rows(mdp: LabeledMdp, policy: StationaryPolicy) -> tuple[list, np.ndarray]:
     """Each state's (cumulative probabilities, successors) under policy,
     ready for _run, and the cost of each state's row."""
-    rows = mdp.rows_of([policy.action(i) for i in mdp.states])
+    rows = mdp.rows_of(policy.choice)
     ptr, col, prob = mdp.chain(rows)
     cum, col, ptr = _cumulative(ptr, prob), col.tolist(), ptr.tolist()
     return [(cum[a:b], col[a:b]) for a, b in zip(ptr, ptr[1:])], mdp.cost[rows]

@@ -59,7 +59,7 @@ class SynthesisResult:
             "type": "product-stationary",
             "tracking": "dra",
             "choices": {self.product.state_name(i): self.product.mdp.actions[a]
-                        for i, a in sorted(self.stitched_policy.choice.items())},
+                        for i, a in enumerate(self.stitched_policy.choice)},
             "lambda": self.optimal_cost,
             "optimal": self.optimal,
             "amec": self.winning_amec_index,
@@ -161,21 +161,20 @@ def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
                for idx, c in enumerate(components) if not c.pi_states]
     solved = []
     for batch in _unions([(idx, c) for idx, c in enumerate(components) if c.pi_states]):
-        problem, k_local, ordered = union_cycle_problem(product, [c for _idx, c in batch])
+        problem, k_local, _ordered = union_cycle_problem(product, [c for _idx, c in batch])
         results = acpc.block_policy_iteration(problem, k_local, tol=tol)
-        for (idx, component), result, states in zip(batch, results, ordered):
+        for (idx, component), result in zip(batch, results):
             result = _retried(product, idx, component, result, retries, tol)
-            solution = AmecSolution(
+            solved.append(AmecSolution(
                 amec_index=idx,
                 lam=result.gain_bias.lam,
                 status=result.status,
                 iterations=result.iterations,
                 interior_policy=result.policy,
                 states=component.states,
-            )
-            solved.append((solution, {g: result.policy.choice[k] for k, g in enumerate(states)}))
-    solved.sort(key=lambda out: (out[0].lam, out[0].amec_index))
-    for rank, (winner, interior) in enumerate(solved):
+            ))
+    solved.sort(key=lambda s: (s.lam, s.amec_index))
+    for rank, winner in enumerate(solved):
         try:
             reach = amec_mod.reach_policy(product, components[winner.amec_index])
             break
@@ -186,8 +185,10 @@ def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
             "no reachable accepting maximal end component admits finite "
             "per-cycle cost")
 
+    stitched = np.array(reach.choice)
+    stitched[sorted(winner.states)] = winner.interior_policy.choice  # in local order
     # every component before the winner was shown unreachable
-    solutions = sorted((s for s, _ in solved[rank:]), key=lambda s: s.amec_index)
+    solutions = sorted(solved[rank:], key=lambda s: s.amec_index)
     diagnostics = {
         "productStates": product.n_states,
         "rawProductStates": mdp.n_states * dra.n_states,
@@ -200,7 +201,7 @@ def synthesize(mdp: LabeledMdp, dra: Dra, pi: str, retries: int = 0,
         product=product,
         winning_amec_index=winner.amec_index,
         lambda_per_amec=tuple(solutions),
-        stitched_policy=StationaryPolicy({**reach.choice, **interior}),
+        stitched_policy=StationaryPolicy(stitched.tolist()),
         optimal_cost=winner.lam,
         optimal=all(s.status is PolicyIterationStatus.OPTIMAL for s in solutions),
         diagnostics=diagnostics,

@@ -193,10 +193,8 @@ def oracle_reach_choice(product, states):
                     break
         frontier = nxt
         d += 1
-    for i in product.states:
-        if i not in choice and i not in states:
-            choice[i] = product.available(i)[0]
-    return choice
+    return tuple(-1 if i in states else choice.get(i, product.available(i)[0])
+                 for i in product.states)
 
 
 @st.composite
@@ -435,5 +433,6 @@ class TestLinearWork:
         reads = count_row_reads(monkeypatch)
         goal = frozenset({product.index_of[(self.n - 1, 0)]})
         policy = amec_mod.reach_policy(product, component(goal))
-        assert set(policy.choice.values()) == {product.mdp.actions.index("go")}
+        go = product.mdp.actions.index("go")
+        assert policy.choice == tuple(-1 if i in goal else go for i in product.states)
         assert reads[0] <= 4 * len(product.model.action)

@@ -15,7 +15,9 @@ else:  # pytest depends on tomli before Python 3.11
 from conftest import k_labelled_mdp, k_tracking_dra
 from cyclesynth import dra as dra_mod
 from cyclesynth import mdp as mdp_mod
-from cyclesynth.cli import build_parser, main
+from cyclesynth.cli import _load_policy_on_product, build_parser, main
+from cyclesynth.product import build_product
+from cyclesynth.synth import synthesize
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -190,6 +192,34 @@ class TestSimulateCommand:
                      "--policy", str(bad), "--stages", "10"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mdp, dra, pi", [(PD_MDP, PD_DRA, "pickup"),
+                                              (TWO_AMEC, TRIVIAL_DRA, "pi")])
+    def test_written_policy_loads_back(self, tmp_path, mdp, dra, pi):
+        """The policy synthesize --out writes loads back, through the
+        loader simulate uses, as the stitched policy of the synthesis."""
+        out = tmp_path / "policy.json"
+        assert main(["synthesize", "--mdp", mdp, "--dra", dra, "--pi", pi,
+                     "--out", str(out)]) == 0
+        model, automaton = mdp_mod.load(mdp), dra_mod.load(dra)
+        policy, _data = _load_policy_on_product(build_product(model, automaton, pi), out)
+        assert policy == synthesize(model, automaton, pi).stitched_policy
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update({"x": c.pop("0:0")}), "malformed product state key 'x'"),
+        (lambda c: c.update({"1:0": "alpha"}), "policy state 1:0 is not a reachable product state"),
+        (lambda c: c.update({"0:0": "delta"}), "policy action 'delta' is not an MDP action"),
+        (lambda c: c.update({"0:0": "beta"}), "action 'beta' unavailable at product state 0:0"),
+        (lambda c: c.pop("9:3"), "policy undefined at product states ['9:3']"),
+    ], ids=["malformed-key", "unreachable-pair", "unknown-action", "unavailable-action",
+            "missing-state"])
+    def test_policy_mismatch_messages(self, tmp_path, capsys, edit, message):
+        data = json.loads(self._policy(tmp_path).read_text())
+        edit(data["choices"])
+        capsys.readouterr()
+        assert main(["simulate", "--mdp", PD_MDP, "--dra", PD_DRA,
+                     "--policy", _write_json(tmp_path / "bad.json", data), "--stages", "10"]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
 
     def test_incomplete_policy_rejected(self, tmp_path, capsys):
         policy = self._policy(tmp_path)

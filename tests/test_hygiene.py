@@ -2,8 +2,8 @@
 every private module-level function in src/ is referenced from src/,
 every public module-level function or class in src/ is exported or
 referenced from src/, tests/ or bench/, only sim._run loops over the
-stage count, the JSON loader does not build through from_rows, and the
-running sums are defined once."""
+stage count, the JSON loader does not build through from_rows, no
+policy is built from a dict, and the running sums are defined once."""
 
 import ast
 import dataclasses
@@ -205,25 +205,64 @@ def test_detects_keyed_row_table():
     ]
 
 
+def dict_policies(source: str) -> list[str]:
+    """Where `source` builds a StationaryPolicy from a dict display, a
+    dict comprehension or a dict(...) call."""
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and (getattr(node.func, "id", None) or getattr(node.func, "attr", None))
+            == "StationaryPolicy"
+            and any(isinstance(arg, (ast.Dict, ast.DictComp))
+                    or isinstance(arg, ast.Call) and getattr(arg.func, "id", None) == "dict"
+                    for arg in node.args)]
+
+
+def test_detects_dict_policy():
+    source = ("a = StationaryPolicy(dict(enumerate(x)))\n"
+              "b = mdp.StationaryPolicy({0: 1})\n"
+              "c = StationaryPolicy({i: 0 for i in s})\n"
+              "d = StationaryPolicy(x.tolist())\n")
+    assert dict_policies(source) == [
+        "line 1: StationaryPolicy(dict(enumerate(x)))",
+        "line 2: mdp.StationaryPolicy({0: 1})",
+        "line 3: StationaryPolicy({i: 0 for i in s})",
+    ]
+
+
+def dict_fields(record, allowed=()) -> list[str]:
+    """The fields of a dataclass record, but those allowed, that hold a
+    dict or are annotated as one."""
+    return [f.name for f in dataclasses.fields(record) if f.name not in allowed
+            and (isinstance(getattr(record, f.name), dict) or "dict" in str(f.type))]
+
+
 def test_one_row_representation():
     """The rows live in LabeledMdp's arrays: no module but the automaton's
     (keyed by state and symbol) builds or reads a (state, action)-keyed
     table, and no field of a model, its product or a component holds a
-    dict."""
+    dict.  A policy is one action per state: no module builds one from a
+    dict, and no field of a policy or a synthesis result, but the
+    diagnostics, holds a dict."""
     from conftest import pickup_delivery_dra, pickup_delivery_mdp
     from cyclesynth.amec import accepting_amecs
     from cyclesynth.product import build_product
-    from cyclesynth.synth import amec_cycle_problem
+    from cyclesynth.synth import amec_cycle_problem, synthesize
 
     assert [f"{path.name}: {hit}" for path in PACKAGE if path.name != "dra.py"
             for hit in keyed_row_tables(path.read_text())] == []
+    assert [f"{path.name}: {hit}" for path in PACKAGE
+            for hit in dict_policies(path.read_text())] == []
     mdp = pickup_delivery_mdp()
     product = build_product(mdp, pickup_delivery_dra(), "pickup")
     component = accepting_amecs(product)[0]
     problem, *_ = amec_cycle_problem(product, component)
     for record in (mdp, product.model, problem.mdp, component):
-        assert [f.name for f in dataclasses.fields(record)
-                if isinstance(getattr(record, f.name), dict) or "dict" in str(f.type)] == []
+        assert dict_fields(record) == []
+    result = synthesize(mdp, pickup_delivery_dra(), "pickup")
+    solution = result.lambda_per_amec[0]
+    for record in (result.stitched_policy, solution.interior_policy, solution):
+        assert dict_fields(record) == []
+    assert dict_fields(result, allowed={"diagnostics"}) == []
 
 
 def reached_functions(source: str, start: str) -> set[str]:

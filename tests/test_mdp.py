@@ -139,6 +139,12 @@ class TestModel:
         with pytest.raises(PolicyIncomplete):
             toy_b.policy_matrices(StationaryPolicy({0: 0}))
 
+    def test_rows_of_names_the_undefined_state(self, toy_b):
+        with pytest.raises(PolicyIncomplete, match=r"^policy undefined at state 1$"):
+            toy_b.rows_of((1, -1))
+        with pytest.raises(PolicyIncomplete, match=r"^action 1 is not available at state 1$"):
+            toy_b.rows_of((0, 1))
+
     def test_pi_states(self, toy_b):
         assert toy_b.pi_states("pi") == frozenset({0})
         assert toy_b.pi_states("other") == frozenset()
@@ -158,6 +164,25 @@ class TestModel:
         assert model.pred is model.pred
         # rows 0, 1, 2 are (0, a), (0, b), (1, a)
         assert model.pred == ([0, 2], [1])
+
+
+class TestStationaryPolicy:
+    def test_dict_and_sequence_build_equal_hashable_policies(self):
+        """A {state: action} dict and the sequence of its actions build the
+        same policy, held as a tuple with -1 at each omitted state."""
+        assert StationaryPolicy({0: 1, 1: 0}) == StationaryPolicy([1, 0])
+        assert StationaryPolicy([1, 0]).choice == (1, 0)
+        assert StationaryPolicy({2: 0, 0: 1}).choice == (1, -1, 0)
+        assert StationaryPolicy({}).choice == ()
+        assert len({StationaryPolicy({0: 1, 1: 0}), StationaryPolicy([1, 0])}) == 1
+        assert hash(StationaryPolicy({1: 0})) == hash(StationaryPolicy((-1, 0)))
+
+    @pytest.mark.parametrize("state", [1, 3, -1])
+    def test_action_raises_where_undefined(self, state):
+        mu = StationaryPolicy({0: 1, 2: 0})
+        assert (mu.action(0), mu.action(2)) == (1, 0)
+        with pytest.raises(PolicyIncomplete, match=rf"^policy undefined at state {state}$"):
+            mu.action(state)
 
 
 @st.composite

@@ -163,4 +163,4 @@ class TestExecutablePolicy:
         controller = project_policy(product, policy)
         assert controller.index is product.index
         assert "index_of" not in vars(product)
-        assert controller.choice == [policy.choice[i] for i in product.states]
+        assert controller.choice is policy.choice

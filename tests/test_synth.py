@@ -86,6 +86,16 @@ class TestSparseRows:
             assert peak <= 2 * 2 ** 20
 
 
+def bench_problem(monkeypatch, kind: str, size: int):
+    """(mdp, dra, pi) of the bench generator's problem at seed 0."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from cyclebench import workloads
+
+    text = workloads.GENERATORS[kind](size, 0)
+    return (mdp_mod.from_json_dict(json.loads(text.mdp_json)),
+            dra_mod.parse_json(text.dra_json), text.pi)
+
+
 class TestSynthesize:
     def test_toy_b_lifted(self, toy_b):
         result = synthesize(toy_b, always_accepting_dra(), "pi")
@@ -125,8 +135,8 @@ class TestSynthesize:
     def test_stitched_policy_total(self):
         result = synthesize(pickup_delivery_mdp(), pickup_delivery_dra(),
                             "pickup")
-        assert set(result.stitched_policy.choice) == set(result.product.states)
-        for i, a in result.stitched_policy.choice.items():
+        assert len(result.stitched_policy.choice) == result.product.n_states
+        for i, a in enumerate(result.stitched_policy.choice):
             assert a in result.product.available(i)
 
     @pytest.mark.parametrize("name, text_digest, keys_digest", [
@@ -143,16 +153,22 @@ class TestSynthesize:
         if name == "pickup_delivery":
             problem = pickup_delivery_mdp(), pickup_delivery_dra(), "pickup"
         else:
-            monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
-            from cyclebench import workloads
-
-            text = workloads.rooms(20, 0)
-            problem = (mdp_mod.from_json_dict(json.loads(text.mdp_json)),
-                       dra_mod.parse_json(text.dra_json), text.pi)
+            problem = bench_problem(monkeypatch, "rooms", 20)
         doc = synthesize(*problem).policy_json_dict()
         dumped = json.dumps(doc, indent=2, sort_keys=True)
         assert hashlib.sha256(dumped.encode()).hexdigest() == text_digest
         assert hashlib.sha256("\n".join(doc["choices"]).encode()).hexdigest() == keys_digest
+
+    def test_bench_policy_compares_to_a_bool(self, monkeypatch):
+        """The bench compares stitched policies with != and needs a plain
+        bool: on ring 600, the largest ring_pi problem, the stitched policy
+        is a tuple of one int per product state, none of them -1."""
+        result = synthesize(*bench_problem(monkeypatch, "ring", 600))
+        choice = result.stitched_policy.choice
+        assert type(choice) is tuple and len(choice) == result.product.n_states
+        assert {type(a) for a in choice} == {int} and -1 not in choice
+        again = synthesize(*bench_problem(monkeypatch, "ring", 600)).stitched_policy.choice
+        assert (choice != again) is False
 
     def test_phase_dependent_choice(self):
         """The synthesized controller may act differently at the same cell
@@ -383,8 +399,10 @@ def per_component_selection(mdp, dra, pi):
         problem, k_local, local, ordered = amec_cycle_problem(product, component)
         result = acpc.policy_iteration(problem, k_local)
         if best is None or result.gain_bias.lam < best[0]:
-            interior = {g: result.policy.choice[local[g]] for g in ordered}
-            best = (result.gain_bias.lam, idx, {**reach.choice, **interior})
+            choice = list(reach.choice)
+            for g in ordered:
+                choice[g] = result.policy.choice[local[g]]
+            best = (result.gain_bias.lam, idx, tuple(choice))
     return best
 
 
